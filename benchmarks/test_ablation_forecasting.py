@@ -1,19 +1,21 @@
-"""Ablation: controller decision modes (the paper's §6 future work).
+"""Ablation: online decision policies (the paper's §6 future work).
 
 Compares, over the same MG-RAST day, the static default against Rafiki
 driven by (a) an oracle of the current window's RR (the paper's implicit
-setting), (b) a purely reactive one-window-lag controller, and (c) a
-Markov regime forecaster reconfiguring proactively at window boundaries.
+setting), (b) a purely reactive one-window-lag policy, and (c) a Markov
+regime forecaster reconfiguring proactively at window boundaries.  Each
+runs as one tenant on its own middleware scheduler, in that order.
 
 Expected shape: every Rafiki mode beats static; the oracle bounds the
-others; forecasting recovers most of the reactive controller's lag loss
+others; forecasting recovers most of the reactive policy's lag loss
 on a regime-switching workload.
 """
 
 import pytest
 
 from benchmarks.conftest import SEED, write_results
-from repro.core.controller import OnlineController
+from repro.core.policies import HysteresisPolicy, make_policy
+from repro.middleware import MiddlewareScheduler, TenantSpec
 from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 
@@ -23,15 +25,18 @@ def mode_results(cassandra, cassandra_rafiki, base_workload):
     rr_series = MGRastTraceGenerator(seed=SEED + 3).read_ratio_series(24 * 3600)
 
     def run(mode, rafiki, forecaster=None):
-        ctrl = OnlineController(
-            cassandra,
-            rafiki,
-            base_workload,
-            decision_mode=mode,
-            forecaster=forecaster,
-            seed=SEED,
+        scheduler = MiddlewareScheduler(cassandra, rafiki)
+        scheduler.add_tenant(
+            TenantSpec(
+                tenant_id=mode,
+                rr_series=rr_series,
+                base_workload=base_workload,
+                policy=HysteresisPolicy(make_policy(mode, forecaster)),
+                use_rafiki=rafiki is not None,
+                seed=SEED,
+            )
         )
-        return ctrl.run(rr_series)
+        return scheduler.run()[mode]
 
     return {
         "static": run("oracle", None),

@@ -1,16 +1,17 @@
 """Online adaptation to the dynamic MG-RAST workload (the paper's
 motivating scenario, §1 + §2.4.1 + §4.8's "agile enough" claim).
 
-Rafiki's cached, seconds-fast searches let the controller re-configure
+Rafiki's cached, seconds-fast searches let the online loop re-configure
 at every abrupt 15-minute regime switch; a static default configuration
 (what a slow online tuner degenerates to at these time scales) leaves
-throughput on the table.
+throughput on the table.  Both run as tenants of one middleware
+scheduler on the same trace and seed.
 """
 
 import numpy as np
 
 from benchmarks.conftest import SEED, write_results
-from repro.core.controller import OnlineController
+from repro.middleware import MiddlewareScheduler, TenantSpec
 from repro.workload.mgrast import MGRastTraceGenerator
 
 
@@ -19,18 +20,25 @@ def test_online_adaptation(cassandra, cassandra_rafiki, base_workload, benchmark
         duration_seconds=24 * 3600
     )
 
-    static = OnlineController(
-        cassandra, None, base_workload, seed=SEED
-    ).run(rr_series)
-    adaptive = OnlineController(
-        cassandra, cassandra_rafiki, base_workload, seed=SEED
-    ).run(rr_series)
+    scheduler = MiddlewareScheduler(cassandra, cassandra_rafiki)
+    for tenant_id, tuned in (("static", False), ("adaptive", True)):
+        scheduler.add_tenant(
+            TenantSpec(
+                tenant_id=tenant_id,
+                rr_series=rr_series,
+                base_workload=base_workload,
+                use_rafiki=tuned,
+                seed=SEED,
+            )
+        )
+    results = scheduler.run()
+    static, adaptive = results["static"], results["adaptive"]
 
     gain = adaptive.mean_throughput / static.mean_throughput - 1.0
 
     # Dynamic tuning must beat the static default over a dynamic day.
     assert gain > 0.05, f"adaptive gain {gain:.1%}"
-    # The controller actually reacts to the regime switches.
+    # The tuned tenant actually reacts to the regime switches.
     assert adaptive.reconfiguration_count >= 3
     # But not to every tiny wobble: reconfigurations stay far below the
     # window count.
@@ -59,5 +67,5 @@ def test_online_adaptation(cassandra, cassandra_rafiki, base_workload, benchmark
     )
     write_results("online_adaptation", payload)
 
-    # Benchmark a cached recommendation — the controller's hot path.
+    # Benchmark a cached recommendation — the online loop's hot path.
     benchmark(lambda: cassandra_rafiki.recommend(0.88))

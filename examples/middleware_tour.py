@@ -12,8 +12,8 @@ workloads and a datastore fleet.  This tour runs that service:
    shared bus,
 3. show the rolling restart charging real transient capacity loss
    (instead of the legacy flat penalty constant),
-4. check the single-tenant guarantee: the legacy OnlineController API
-   and a one-tenant scheduler produce bit-identical runs,
+4. run a single tenant the same way — a one-tenant scheduler is the
+   whole single-tenant API,
 5. re-run the whole campaign and verify the event sequence is
    identical — the scheduler's determinism contract.
 
@@ -27,7 +27,6 @@ from repro import (
     FaultPlan,
     MGRastTraceGenerator,
     MiddlewareScheduler,
-    OnlineController,
     RafikiPipeline,
     TenantSpec,
     mgrast_workload,
@@ -151,11 +150,8 @@ def main():
     print(f"   archive paid {len(restart_events)} rolling-restart transient(s)")
     assert restart_events, "expected the rolling tenant to pay for its restarts"
 
-    print("\n== 4. Single-tenant runs match the legacy controller exactly ==")
+    print("\n== 4. A single tenant is a one-tenant scheduler ==")
     series = MGRastTraceGenerator(seed=5, window_seconds=60).read_ratio_series(3600)
-    legacy = OnlineController(
-        cassandra, rafiki, mgrast_workload(0.5), window_seconds=60, seed=9
-    ).run(series, load=False)
     solo = MiddlewareScheduler(cassandra, rafiki)
     solo.add_tenant(
         TenantSpec(
@@ -168,10 +164,11 @@ def main():
         )
     )
     tenant = solo.run()["solo"]
-    assert [e.mean_throughput for e in legacy.events] == [
-        e.mean_throughput for e in tenant.events
-    ], "single-tenant middleware must be bit-identical to the legacy API"
-    print("   bit-identical: every window throughput matches")
+    print(
+        f"   solo         {len(tenant.events):>3} windows  "
+        f"{tenant.mean_throughput:>10,.0f} ops/s  "
+        f"{tenant.reconfiguration_count} reconfigs"
+    )
 
     print("\n== 5. Determinism: the same campaign replays identically ==")
     _, log2 = run_campaign(cassandra, rafiki, quiet=True)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI fault-smoke: the self-healing loop must survive a canned plan.
 
-Trains a tiny-budget Rafiki, then drives the online controller through
-a fixed FaultPlan — a node crash plus a disk slowdown landing in the
+Trains a tiny-budget Rafiki, then drives one tenant on a
+``MiddlewareScheduler`` through a fixed FaultPlan — a node crash plus a disk slowdown landing in the
 same window as a regime-shift reconfiguration, and transient
 search/push faults — with every guardrail enabled.  The job fails
 unless:
@@ -25,11 +25,15 @@ from repro import (
     CassandraLike,
     EventBus,
     FaultPlan,
+    HysteresisPolicy,
+    MiddlewareScheduler,
+    OraclePolicy,
     RafikiPipeline,
+    RetryPolicy,
+    TenantSpec,
     mgrast_workload,
 )
 from repro.bench.ycsb import YCSBBenchmark
-from repro.core.controller import OnlineController, RetryPolicy
 from repro.faults import DiskSlowdown, NodeCrash, TransientFault
 from repro.ml.ensemble import EnsembleConfig
 
@@ -61,30 +65,39 @@ def train_rafiki(cassandra):
 
 
 def one_run(cassandra, rafiki):
-    """One guarded controller pass; returns (run, event trace)."""
+    """One guarded one-tenant pass; returns (run, tenant event trace).
+
+    The trace keeps the tenant's own events with the ``tenant.smoke.``
+    namespace stripped.
+    """
     bus = EventBus()
     trace = []
+    prefix = "tenant.smoke."
     bus.subscribe(
         lambda e: trace.append(
-            (e.topic, e.message, tuple(sorted(e.payload.items())))
+            (e.topic[len(prefix):], e.message, tuple(sorted(e.payload.items())))
+        ),
+        topic="tenant.smoke",
+    )
+    scheduler = MiddlewareScheduler(cassandra, rafiki, events=bus)
+    scheduler.add_tenant(
+        TenantSpec(
+            tenant_id="smoke",
+            rr_series=RR_SERIES,
+            base_workload=mgrast_workload(0.5),
+            policy=HysteresisPolicy(OraclePolicy(), min_change=0.1),
+            window_seconds=60,
+            fault_plan=PLAN,
+            n_nodes=4,
+            replication_factor=2,
+            retry=RetryPolicy(max_attempts=3, backoff_s=2.0),
+            canary_margin=0.2,
+            canary_std_factor=0.5,
+            seed=7,
+            load=False,
         )
     )
-    controller = OnlineController(
-        cassandra,
-        rafiki,
-        mgrast_workload(0.5),
-        window_seconds=60,
-        rr_change_threshold=0.1,
-        events=bus,
-        fault_plan=PLAN,
-        n_nodes=4,
-        replication_factor=2,
-        retry=RetryPolicy(max_attempts=3, backoff_s=2.0),
-        canary_margin=0.2,
-        canary_std_factor=0.5,
-        seed=7,
-    )
-    return controller.run(RR_SERIES, load=False), trace
+    return scheduler.run()["smoke"], trace
 
 
 def main() -> int:

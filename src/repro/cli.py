@@ -29,6 +29,10 @@ sample to a write-ahead log, ``resume`` finishes a killed campaign from
 that log (bit-identical to an uninterrupted run), ``train
 --checkpoint-dir`` checkpoints each ensemble member, and
 ``verify-artifact`` checks any artifact or journal without loading it.
+
+Bad input the library rejects with a :class:`~repro.errors.ReproError`
+(an out-of-range ``--read-ratio``, say) prints one ``error:`` line on
+stderr and exits 1; argparse usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.core.policies import HysteresisPolicy, make_policy
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
-from repro.errors import GuardError, PersistenceError, SearchError
+from repro.errors import GuardError, PersistenceError, ReproError, SearchError
 from repro.faults import FaultPlan
 from repro.middleware import (
     MiddlewareScheduler,
@@ -667,8 +671,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; a :class:`ReproError` exits 1 with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,4 +1,4 @@
-"""Decision policies for the online controller.
+"""Decision policies for the online tuning loop.
 
 The seed repo hard-coded the controller's decision logic behind string
 dispatch (``"oracle" | "reactive" | "forecast"``).  This module turns
@@ -166,14 +166,14 @@ class HysteresisPolicy(DecisionPolicy):
         self.inner.reset()
 
 
-#: Legacy string modes, mapped by :func:`make_policy`.
+#: Mode names accepted by :func:`make_policy` (CLI ``--mode``, manifests).
 DECISION_MODES = ("oracle", "reactive", "forecast")
 
 
 def make_policy(
     mode: str, forecaster: Optional[RRForecaster] = None
 ) -> DecisionPolicy:
-    """Thin shim from the deprecated string API onto policy objects."""
+    """Parse a CLI / manifest mode name into a policy object."""
     if mode == "oracle":
         return OraclePolicy()
     if mode == "reactive":

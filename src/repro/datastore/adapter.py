@@ -1,11 +1,9 @@
 """Actuation layer: datastore lifecycle behind a uniform adapter.
 
-Three call sites used to mint simulated servers by hand — the online
-controller's ``_make_server``, the YCSB harness's fresh-instance-per-
-sample reset, and the CLI's replay wiring.  The :class:`DatastoreAdapter`
-protocol extracts that duplication into one place that owns the full
-lifecycle: **provision** (fresh server or cluster), **apply-config**
-(the legacy teleport push), **rolling-restart** (per-node config
+The :class:`DatastoreAdapter` protocol is the one place that mints
+simulated servers for the online loop and owns their full lifecycle:
+**provision** (fresh server or cluster), **apply-config** (an instant
+push to every node), **rolling-restart** (per-node config
 application that charges the transient capacity loss a real restart
 costs), and **teardown**.
 
@@ -85,7 +83,7 @@ class DatastoreAdapter:
         raise NotImplementedError
 
     def apply_config(self, config: Configuration) -> None:
-        """Push ``config`` to every node instantly (legacy semantics)."""
+        """Push ``config`` to every node instantly."""
         raise NotImplementedError
 
     def rolling_restart(self, config: Configuration, read_ratio: float,
@@ -215,9 +213,7 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
 
     ``n_nodes == 1`` provisions a single analytic server;
     ``n_nodes > 1`` provisions a :class:`Cluster` with one YCSB shooter
-    per node, exactly as ``OnlineController._make_server`` did — a
-    single-tenant middleware run stays bit-identical to the legacy
-    controller.
+    per node.
 
     ``execution="engine"`` swaps the analytic substrate for a
     materialized :class:`~repro.lsm.engine.LSMEngine` fed by the

@@ -93,7 +93,7 @@ class GuardError(MiddlewareError):
 class TransientError(FaultError):
     """A retryable fault: the same operation may succeed if reissued.
 
-    The online controller's retry/backoff machinery and the execution
+    The online loop's retry/backoff machinery and the execution
     backend's worker-crash containment both key off this type; anything
     else escapes immediately.
     """

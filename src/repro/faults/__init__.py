@@ -5,7 +5,7 @@ as the open risk (§4.8); this package supplies the weather for testing
 that story: seeded :class:`FaultPlan` schedules (node crash/recover,
 disk slowdowns, benchmark-client faults, transient search/push
 failures) executed by a :class:`FaultInjector` against the throughput
-cluster, the collection campaign, and the online controller.  With no
+cluster, the collection campaign, and the online loop.  With no
 plan — or an empty one — every injection point is inert and the
 pipeline is bit-identical to a fault-free build.
 """

@@ -1,7 +1,7 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a running system.
 
 The injector is the single choke point between a plan and the components
-it disturbs: the online controller calls :meth:`begin_window` once per
+it disturbs: a tenant session calls :meth:`begin_window` once per
 window (node crashes/recoveries and disk slowdowns land on the cluster
 there) and :meth:`check` immediately before each fault-prone operation
 (search, config push), which raises

@@ -9,7 +9,7 @@ bit-array implementation sized from the target false-positive rate.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,26 @@ def hash_keys(names: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return h1, h2 | np.uint64(1)
 
 
+def hash_key_batch(
+    keys: Sequence[str],
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(names, h1, h2)`` for a list of keys, or ``None`` (scalar path).
+
+    ``names`` is the batch as a numpy unicode array and ``(h1, h2)`` its
+    :func:`hash_keys` pair.  A fixed-width ``<U`` array pads with NULs,
+    so numpy drops a key's trailing NULs (``"a\\x00"`` becomes ``"a"``)
+    and :func:`hash_keys` cannot tell; a batch holding any NUL therefore
+    takes the scalar path.
+    """
+    if len(keys) == 0 or "\x00" in "".join(keys):
+        return None
+    names = np.asarray(keys)
+    hashed = hash_keys(names)
+    if hashed is None:
+        return None
+    return (names, *hashed)
+
+
 class BloomFilter:
     """Bit-array bloom filter with configurable false-positive chance."""
 
@@ -86,12 +106,12 @@ class BloomFilter:
     def from_keys(cls, keys: Iterable[str], fp_chance: float) -> "BloomFilter":
         keys = list(keys)
         bf = cls(expected_items=max(len(keys), 1), fp_chance=fp_chance)
-        hashed = hash_keys(np.asarray(keys)) if keys else None
-        if hashed is None:
+        batch = hash_key_batch(keys)
+        if batch is None:
             for k in keys:
                 bf.add(k)
         else:
-            bf.add_many(*hashed)
+            bf.add_many(*batch[1:])
         return bf
 
     def _positions(self, key: str):

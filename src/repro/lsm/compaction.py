@@ -66,6 +66,8 @@ class TableLayout:
 
     def __init__(self):
         self.levels: List[List[SSTable]] = [[]]
+        #: Live tables with ``has_nul_key`` (batch probes need zero).
+        self.nul_key_tables = 0
 
     # -- structure -----------------------------------------------------------
 
@@ -76,16 +78,21 @@ class TableLayout:
     def add_flushed(self, table: SSTable) -> None:
         """Install a fresh flush output at level 0."""
         self.levels[0].append(table)
+        self.nul_key_tables += table.has_nul_key
 
     def add_at_level(self, table: SSTable, level: int) -> None:
         self._ensure_level(level)
         self.levels[level].append(table)
+        self.nul_key_tables += table.has_nul_key
         if level >= 1:
             self.levels[level].sort(key=lambda t: t.min_key)
 
     def remove(self, tables: Iterable[SSTable]) -> None:
         doomed = {t.table_id for t in tables}
         for lvl in self.levels:
+            self.nul_key_tables -= sum(
+                t.has_nul_key for t in lvl if t.table_id in doomed
+            )
             lvl[:] = [t for t in lvl if t.table_id not in doomed]
 
     def all_tables(self) -> List[SSTable]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.config.cassandra import LEVELED
 from repro.errors import DatastoreError, PersistenceError
-from repro.lsm.bloom import hash_keys
+from repro.lsm.bloom import hash_key_batch
 from repro.lsm.commitlog import CommitLog
 from repro.lsm.compaction import (
     CompactionTask,
@@ -266,14 +266,15 @@ class LSMEngine:
         duration regardless of background work.
         """
         if self.layout.table_count > 0:
-            if pre is not None:
-                names, h1, h2 = pre
-                return self._probe_block_vector(keys, names, h1, h2)
-            if len(keys) >= _MIN_VECTOR_PROBE:
-                names = np.asarray(keys)
-                hashed = hash_keys(names)
-                if hashed is not None:
-                    return self._probe_block_vector(keys, names, *hashed)
+            # numpy string comparisons ignore trailing NULs, so a table
+            # holding such a key is probed key by key.
+            if self.layout.nul_key_tables == 0:
+                if pre is not None:
+                    return self._probe_block_vector(keys, *pre)
+                if len(keys) >= _MIN_VECTOR_PROBE:
+                    batch = hash_key_batch(keys)
+                    if batch is not None:
+                        return self._probe_block_vector(keys, *batch)
             return self._probe_block_scalar(keys)
         # No SSTables: every probe is a pure memtable lookup with zero
         # bloom/cache/disk traffic, so skip the per-key tally loop (the
@@ -529,11 +530,9 @@ class LSMEngine:
                     if self.layout.table_count > 0 and e - s >= 4:
                         if not hash_tried:
                             hash_tried = True
-                            arr = np.asarray(keys)
-                            hashed = hash_keys(arr)
-                            if hashed is not None:
-                                batch_names = arr
-                                batch_h1, batch_h2 = hashed
+                            batch = hash_key_batch(keys)
+                            if batch is not None:
+                                batch_names, batch_h1, batch_h2 = batch
                         if batch_names is not None:
                             pre = (
                                 batch_names[s:e],

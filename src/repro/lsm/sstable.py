@@ -60,6 +60,7 @@ class SSTable:
         "size_bytes",
         "created_at",
         "checksum",
+        "has_nul_key",
     )
 
     def __init__(
@@ -84,6 +85,9 @@ class SSTable:
         self.size_bytes = sum(r.size_bytes for r in records)
         self.created_at = created_at
         self.checksum = checksum_records(self._records)
+        # numpy unicode arrays drop trailing NULs, so batch probes must
+        # not compare against this table's keys (see TableLayout).
+        self.has_nul_key = "\x00" in "".join(keys)
 
     # -- pickling --------------------------------------------------------------
 

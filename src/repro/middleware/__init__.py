@@ -31,8 +31,8 @@ repair budget, and quarantines windows that ran on a mixed-config ring
 so the canary EWMA and SLO budget never ingest drifted throughput.
 Off by default, like the guards.
 
-The legacy single-tenant ``OnlineController`` API survives as a thin
-shim over one session; its runs are bit-identical to before.
+A single-tenant run is a scheduler with one :class:`TenantSpec`; there
+is no separate single-tenant controller.
 """
 
 from repro.datastore.adapter import (

@@ -1,19 +1,19 @@
 """Session layer: one tenant's control loop as a state machine.
 
-The monolithic ``OnlineController.run()`` window loop is decomposed here
-into discrete, resumable phases::
+The paper's online loop (observe a window, search, push) runs here as
+discrete, resumable phases::
 
     OBSERVE -> DECIDE -> ACTUATE -> RECONCILE -> EXECUTE -> CANARY -> RECORD
 
 Each :meth:`TenantSession.step` drives exactly one workload window
 through those phases (``advance_phase`` runs a single transition, so a
 scheduler — or a debugger — can interleave and inspect sessions
-mid-window).  The legacy controller's behaviours are preserved verbatim:
-the :class:`~repro.core.controller.RetryPolicy` backoff for transient
+mid-window).  The guardrails are the
+:class:`~repro.core.controller.RetryPolicy` backoff for transient
 search/push faults, degraded-mode fallback to the vendor default, and
-the ratio-EWMA canary with uncertainty-widened rollback.  With
-``restart_policy="instant"`` a session is bit-identical to the legacy
-``OnlineController.run()`` on the same seed.
+the ratio-EWMA canary with uncertainty-widened rollback.
+``restart_policy="instant"`` pushes a configuration at once and charges
+a flat reconfiguration penalty against the window.
 
 ``restart_policy="rolling"`` replaces the flat reconfiguration penalty
 with the adapter's rolling restart: each node leaves the serving set for
@@ -66,7 +66,6 @@ from repro.errors import SearchError, TransientError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.runtime.events import EventBus
-from repro.workload.forecast import RRForecaster
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 #: Phase order of one window, OBSERVE first.
@@ -119,7 +118,6 @@ class TenantSession:
         events: Optional[EventBus] = None,
         fault_plan: Optional[FaultPlan] = None,
         restart_policy: str = "instant",
-        passive_forecaster: Optional[RRForecaster] = None,
         trace_phases: bool = False,
         guard=None,
         reconciler=None,
@@ -153,7 +151,6 @@ class TenantSession:
         self.events = events or EventBus()
         self.fault_plan = fault_plan
         self.restart_policy = restart_policy
-        self.passive_forecaster = passive_forecaster
         self.trace_phases = trace_phases
         # Optional overload protection (see repro.middleware.guard): SLO
         # tracking, search/push circuit breakers, bulkhead budgets.
@@ -265,8 +262,6 @@ class TenantSession:
             )
         rr = float(np.clip(read_ratio, 0.0, 1.0))
         self.policy.observe(rr)
-        if self.passive_forecaster is not None:
-            self.passive_forecaster.update(rr)
         self._previous_rr = rr
         event = ControllerEvent(
             window_index=self._window_index,
@@ -398,8 +393,6 @@ class TenantSession:
     def _phase_execute(self, ws: WindowState) -> None:
         """Serve the window; downtime and backoff charge against it."""
         self.policy.observe(ws.read_ratio)
-        if self.passive_forecaster is not None:
-            self.passive_forecaster.update(ws.read_ratio)
         self._previous_rr = ws.read_ratio
 
         duration = self.window_seconds
@@ -469,7 +462,7 @@ class TenantSession:
         if self.guard is not None:
             self.guard.observe_window(ws.event)
 
-    # -- resilient operations (ported verbatim from OnlineController) ----------
+    # -- resilient operations --------------------------------------------------
 
     def _publish(self, topic: str, message: str, **payload) -> None:
         self.events.publish(topic, message, **payload)
@@ -549,7 +542,7 @@ class TenantSession:
 
         ``restart_policy="rolling"`` routes the push through the
         adapter's rolling restart, recording the transient on the window
-        state; ``"instant"`` keeps the legacy teleport semantics (the
+        state; ``"instant"`` applies the configuration at once (the
         flat reconfiguration penalty is charged in EXECUTE).
         """
 
@@ -585,7 +578,7 @@ class TenantSession:
         return ok
 
     def _canary_check(self, ws: WindowState) -> bool:
-        """The ratio-EWMA rollback guard (see OnlineController docs).
+        """The ratio-EWMA rollback guard.
 
         Unit-free: tracks the EWMA of the observed/predicted throughput
         ratio (which absorbs the single-server-surrogate vs n-node-

@@ -28,8 +28,7 @@ from repro.runtime.backend import (
     SerialBackend,
     resolve_backend,
 )
-from repro.runtime.deprecation import reset_deprecation_registry, warn_deprecated
-from repro.runtime.events import Event, EventBus, ScopedEventBus, callback_subscriber
+from repro.runtime.events import Event, EventBus, ScopedEventBus
 from repro.runtime.stateship import (
     StateMiss,
     StateMissError,
@@ -47,9 +46,6 @@ __all__ = [
     "Event",
     "EventBus",
     "ScopedEventBus",
-    "callback_subscriber",
-    "warn_deprecated",
-    "reset_deprecation_registry",
     "StateShipment",
     "StateShipper",
     "StateMiss",

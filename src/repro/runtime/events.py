@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Event", "EventBus", "ScopedEventBus", "callback_subscriber"]
+__all__ = ["Event", "EventBus", "ScopedEventBus"]
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,3 @@ class ScopedEventBus:
 
     def __repr__(self) -> str:
         return f"ScopedEventBus({self.prefix!r} on {self.parent!r})"
-
-
-def callback_subscriber(progress: Callable[[str], None]) -> Callable[[Event], None]:
-    """Adapt a legacy ``progress(msg)`` callback into an event handler.
-
-    Lets code that migrated to the bus keep honouring the deprecated
-    ``progress=`` constructor arguments: the callback sees each event's
-    human-readable message, exactly as the old string callbacks did.
-    """
-
-    def handler(event: Event) -> None:
-        progress(event.message or event.topic)
-
-    return handler

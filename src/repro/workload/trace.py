@@ -2,7 +2,7 @@
 
 The paper's raw input is a 4-day MG-RAST query log; this module is its
 in-memory representation plus windowing helpers used by the workload
-characterizer (§3.3) and the online controller.
+characterizer (§3.3) and the online loop.
 """
 
 from __future__ import annotations

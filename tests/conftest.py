@@ -8,6 +8,7 @@ import pytest
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.lsm.knobs import EngineKnobs
+from repro.middleware import MiddlewareScheduler, TenantSpec
 from repro.sim.hardware import HardwareSpec
 
 KB = 1024
@@ -35,6 +36,27 @@ def make_knobs(**overrides) -> EngineKnobs:
     )
     base.update(overrides)
     return EngineKnobs(**base)
+
+
+def run_one_tenant(
+    datastore, rafiki, workload, rr_series, *, events=None, **spec
+):
+    """Drive one tenant ``"t0"`` through a one-tenant scheduler.
+
+    ``rafiki=None`` runs the static-default baseline.  The tenant's
+    events publish under ``tenant.t0.`` on ``events``.
+    """
+    scheduler = MiddlewareScheduler(datastore, rafiki, events=events)
+    scheduler.add_tenant(
+        TenantSpec(
+            tenant_id="t0",
+            rr_series=rr_series,
+            base_workload=workload,
+            use_rafiki=rafiki is not None,
+            **spec,
+        )
+    )
+    return scheduler.run()["t0"]
 
 
 @pytest.fixture

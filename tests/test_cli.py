@@ -91,6 +91,16 @@ class TestRecommend:
         assert payload["predicted_throughput"] > 0
         assert isinstance(payload["configuration"], dict)
 
+    def test_out_of_range_read_ratio_is_one_line_error(self, artifacts, capsys):
+        _, surrogate = artifacts
+        rc = main(["recommend", "--surrogate", str(surrogate), "--read-ratio", "1.5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestReplay:
     def test_replay_reports_gain(self, artifacts, capsys):

@@ -1,20 +1,23 @@
-"""Self-healing controller: retry, degraded mode, canary rollback.
+"""Self-healing online loop: retry, degraded mode, canary rollback.
 
-Includes the PR's acceptance scenario: a seeded FaultPlan crashing one
-of four nodes mid-run must leave the controller able to finish the trace
-end-to-end, emit ``controller.rollback`` when the canary undershoots,
-and reproduce the identical event sequence when replayed.
+Includes the acceptance scenario: a seeded FaultPlan crashing one of
+four nodes mid-run must leave a one-tenant scheduler able to finish the
+trace end-to-end, emit ``controller.rollback`` when the canary
+undershoots, and reproduce the identical event sequence when replayed.
 """
 
 import pytest
 
-from repro.core.controller import OnlineController, RetryPolicy
+from repro.core.controller import RetryPolicy
+from repro.core.policies import HysteresisPolicy, OraclePolicy
 from repro.core.search import OptimizationResult
 from repro.datastore import CassandraLike
 from repro.errors import SearchError
 from repro.faults import FaultPlan, NodeCrash, TransientFault
 from repro.runtime import EventBus
 from repro.workload.spec import WorkloadSpec
+
+from tests.conftest import run_one_tenant
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +61,10 @@ class FakeRafiki:
         return self.predicted, self.std
 
 
-def capture(bus, prefix):
+def capture(bus, topic):
+    """Collect the one-tenant run's ``topic`` events."""
     events = []
-    bus.subscribe(lambda e: events.append(e), topic=prefix)
+    bus.subscribe(lambda e: events.append(e), topic=f"tenant.t0.{topic}")
     return events
 
 
@@ -71,16 +75,17 @@ class TestRetryAndDegraded:
         )
         bus = EventBus()
         retries = capture(bus, "controller.retry")
-        ctrl = OnlineController(
+        run = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.9, 0.9],
+            events=bus,
             window_seconds=60,
             fault_plan=plan,
-            events=bus,
             retry=RetryPolicy(max_attempts=3, backoff_s=1.0),
+            load=False,
         )
-        run = ctrl.run([0.9, 0.9], load=False)
         assert len(retries) == 1
         assert run.events[0].reconfigured
         assert not run.events[0].degraded
@@ -91,16 +96,17 @@ class TestRetryAndDegraded:
         )
         bus = EventBus()
         degraded = capture(bus, "controller.degraded")
-        ctrl = OnlineController(
+        run = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.9, 0.9],
+            events=bus,
             window_seconds=60,
             fault_plan=plan,
-            events=bus,
             retry=RetryPolicy(max_attempts=2, backoff_s=1.0),
+            load=False,
         )
-        run = ctrl.run([0.9, 0.9], load=False)
         assert run.events[0].degraded
         assert run.events[0].configuration == cassandra.default_configuration()
         assert degraded and degraded[0].payload["reason"] == "search"
@@ -114,16 +120,17 @@ class TestRetryAndDegraded:
         )
         bus = EventBus()
         degraded = capture(bus, "controller.degraded")
-        ctrl = OnlineController(
+        run = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.9],
+            events=bus,
             window_seconds=60,
             fault_plan=plan,
-            events=bus,
             retry=RetryPolicy(max_attempts=2, backoff_s=1.0),
+            load=False,
         )
-        run = ctrl.run([0.9], load=False)
         assert run.events[0].degraded
         assert not run.events[0].reconfigured
         assert run.events[0].configuration == cassandra.default_configuration()
@@ -133,22 +140,26 @@ class TestRetryAndDegraded:
         plan = FaultPlan(
             transient_faults=(TransientFault(kind="search", window=0, failures=2),)
         )
-        flaky = OnlineController(
+        flaky = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.9],
             window_seconds=60,
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff_s=10.0),
             seed=7,
-        ).run([0.9], load=False)
-        clean = OnlineController(
+            load=False,
+        )
+        clean = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.9],
             window_seconds=60,
             seed=7,
-        ).run([0.9], load=False)
+            load=False,
+        )
         assert flaky.events[0].mean_throughput < clean.events[0].mean_throughput
 
     def test_retry_policy_validation(self):
@@ -162,38 +173,40 @@ class TestRetryAndDegraded:
     def test_node_faults_require_multi_node_cluster(self, cassandra, workload):
         plan = FaultPlan(node_crashes=(NodeCrash(window=0, node=0),))
         with pytest.raises(SearchError):
-            OnlineController(
-                cassandra, None, workload, fault_plan=plan, n_nodes=1
+            run_one_tenant(
+                cassandra, None, workload, [0.5], fault_plan=plan, n_nodes=1
             )
 
     def test_plan_node_range_checked(self, cassandra, workload):
         plan = FaultPlan(node_crashes=(NodeCrash(window=0, node=7),))
         with pytest.raises(SearchError):
-            OnlineController(
-                cassandra, None, workload, fault_plan=plan, n_nodes=4
+            run_one_tenant(
+                cassandra, None, workload, [0.5], fault_plan=plan, n_nodes=4
             )
 
 
 class TestCanaryRollback:
-    def make_controller(self, cassandra, workload, bus, rafiki=None):
-        return OnlineController(
+    SERIES = [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9]
+
+    def run_crash_scenario(self, cassandra, workload, bus, rafiki=None):
+        return run_one_tenant(
             cassandra,
             rafiki or FakeRafiki(cassandra),
             workload,
+            self.SERIES,
+            events=bus,
             window_seconds=60,
-            rr_change_threshold=0.1,
+            policy=HysteresisPolicy(OraclePolicy(), min_change=0.1),
             fault_plan=FaultPlan(
                 node_crashes=(NodeCrash(window=4, node=1, recover_window=6),)
             ),
-            events=bus,
             n_nodes=4,
             replication_factor=2,
             canary_margin=0.05,
             canary_std_factor=2.0,
             seed=7,
+            load=False,
         )
-
-    SERIES = [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9]
 
     def test_acceptance_scenario_rolls_back_and_completes(self, cassandra, workload):
         """Crash 1 of 4 nodes in the same window as a reconfiguration:
@@ -202,9 +215,7 @@ class TestCanaryRollback:
         bus = EventBus()
         rollbacks = capture(bus, "controller.rollback")
         faults = capture(bus, "fault.injected")
-        run = self.make_controller(cassandra, workload, bus).run(
-            self.SERIES, load=False
-        )
+        run = self.run_crash_scenario(cassandra, workload, bus)
         assert len(run.events) == len(self.SERIES)
         assert len(rollbacks) >= 1
         assert run.rollback_count >= 1
@@ -220,9 +231,7 @@ class TestCanaryRollback:
             bus.subscribe(
                 lambda e: seen.append((e.topic, e.message, tuple(sorted(e.payload.items()))))
             )
-            run = self.make_controller(cassandra, workload, bus).run(
-                self.SERIES, load=False
-            )
+            run = self.run_crash_scenario(cassandra, workload, bus)
             return seen, [
                 (e.reconfigured, e.rolled_back, e.degraded, e.mean_throughput)
                 for e in run.events
@@ -235,19 +244,20 @@ class TestCanaryRollback:
         """Same trace, no faults: the push survives its canary."""
         bus = EventBus()
         rollbacks = capture(bus, "controller.rollback")
-        ctrl = OnlineController(
+        run = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
-            window_seconds=60,
-            rr_change_threshold=0.1,
+            self.SERIES,
             events=bus,
+            window_seconds=60,
+            policy=HysteresisPolicy(OraclePolicy(), min_change=0.1),
             n_nodes=4,
             replication_factor=2,
             canary_margin=0.05,
             seed=7,
+            load=False,
         )
-        run = ctrl.run(self.SERIES, load=False)
         assert rollbacks == []
         assert run.rollback_count == 0
         assert run.reconfiguration_count >= 1
@@ -258,14 +268,14 @@ class TestCanaryRollback:
                 raise NotImplementedError
 
         with pytest.raises(SearchError):
-            OnlineController(
-                cassandra, BareRafiki(), workload, canary_margin=0.1
+            run_one_tenant(
+                cassandra, BareRafiki(), workload, [0.5], canary_margin=0.1
             )
 
     def test_canary_margin_validated(self, cassandra, workload):
         with pytest.raises(SearchError):
-            OnlineController(
-                cassandra, FakeRafiki(cassandra), workload, canary_margin=1.5
+            run_one_tenant(
+                cassandra, FakeRafiki(cassandra), workload, [0.5], canary_margin=1.5
             )
 
     def test_uncertain_surrogate_widens_tolerance(self, cassandra, workload):
@@ -274,24 +284,24 @@ class TestCanaryRollback:
         bus = EventBus()
         rollbacks = capture(bus, "controller.rollback")
         uncertain = FakeRafiki(cassandra, std=1e9)
-        run = self.make_controller(cassandra, workload, bus, rafiki=uncertain).run(
-            self.SERIES, load=False
-        )
+        run = self.run_crash_scenario(cassandra, workload, bus, rafiki=uncertain)
         assert rollbacks == []
         assert run.rollback_count == 0
 
 
 class TestMultiNodeFaultFreeParity:
     def test_multi_node_run_completes_without_faults(self, cassandra, workload):
-        run = OnlineController(
+        run = run_one_tenant(
             cassandra,
             FakeRafiki(cassandra),
             workload,
+            [0.2, 0.9, 0.9],
             window_seconds=60,
             n_nodes=3,
             replication_factor=2,
             seed=7,
-        ).run([0.2, 0.9, 0.9], load=False)
+            load=False,
+        )
         assert len(run.events) == 3
         assert all(e.mean_throughput > 0 for e in run.events)
         assert run.degraded_count == 0

@@ -1,12 +1,20 @@
-"""Decision-mode behaviour of the online controller."""
+"""Decision-policy behaviour of the online loop on one tenant."""
 
 import pytest
 
-from repro.core.controller import OnlineController
+from repro.core.policies import (
+    ForecastPolicy,
+    HysteresisPolicy,
+    OraclePolicy,
+    ReactivePolicy,
+    make_policy,
+)
 from repro.datastore import CassandraLike
 from repro.errors import SearchError
 from repro.workload.forecast import LastValueForecaster, MarkovRegimeForecaster
 from repro.workload.spec import WorkloadSpec
+
+from tests.conftest import run_one_tenant
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +25,10 @@ def cassandra():
 @pytest.fixture(scope="module")
 def workload():
     return WorkloadSpec(read_ratio=0.5, n_keys=2_000_000)
+
+
+def damped(inner, min_change=0.01):
+    return HysteresisPolicy(inner, min_change=min_change)
 
 
 class RecordingRafiki:
@@ -40,30 +52,28 @@ class RecordingRafiki:
 
 
 class TestDecisionModes:
-    def test_invalid_mode_rejected(self, cassandra, workload):
+    def test_invalid_mode_rejected(self):
         with pytest.raises(SearchError):
-            OnlineController(cassandra, None, workload, decision_mode="psychic")
+            make_policy("psychic")
 
-    def test_forecast_mode_needs_forecaster(self, cassandra, workload):
+    def test_forecast_mode_needs_forecaster(self):
         with pytest.raises(SearchError):
-            OnlineController(cassandra, None, workload, decision_mode="forecast")
+            make_policy("forecast")
 
     def test_oracle_sees_current_window(self, cassandra, workload):
         rafiki = RecordingRafiki(cassandra)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=30,
-            rr_change_threshold=0.01, decision_mode="oracle",
+        run_one_tenant(
+            cassandra, rafiki, workload, [0.2, 0.8], window_seconds=30,
+            policy=damped(OraclePolicy()), load=False,
         )
-        ctrl.run([0.2, 0.8], load=False)
         assert rafiki.asked == [0.2, 0.8]
 
     def test_reactive_lags_one_window(self, cassandra, workload):
         rafiki = RecordingRafiki(cassandra)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=30,
-            rr_change_threshold=0.01, decision_mode="reactive",
+        run_one_tenant(
+            cassandra, rafiki, workload, [0.2, 0.8, 0.8], window_seconds=30,
+            policy=damped(ReactivePolicy()), load=False,
         )
-        ctrl.run([0.2, 0.8, 0.8], load=False)
         # First window: no information yet -> no consult.  Then it uses
         # the previous window's RR.
         assert rafiki.asked == [0.2, 0.8]
@@ -71,12 +81,10 @@ class TestDecisionModes:
     def test_forecast_consults_prediction(self, cassandra, workload):
         rafiki = RecordingRafiki(cassandra)
         forecaster = LastValueForecaster(initial=0.5)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=30,
-            rr_change_threshold=0.01, decision_mode="forecast",
-            forecaster=forecaster,
+        run_one_tenant(
+            cassandra, rafiki, workload, [0.2, 0.9, 0.4], window_seconds=30,
+            policy=damped(ForecastPolicy(forecaster)), load=False,
         )
-        ctrl.run([0.2, 0.9, 0.4], load=False)
         # Window 0: the forecaster has seen nothing -> no consult (cold
         # start, like reactive mode's first window); window 1: last
         # value (0.2); window 2: last value (0.9).
@@ -85,22 +93,20 @@ class TestDecisionModes:
     def test_forecast_cold_start_skips_first_window(self, cassandra, workload):
         """An unfitted forecaster's prior must not drive a reconfiguration."""
         rafiki = RecordingRafiki(cassandra)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=30,
-            rr_change_threshold=0.01, decision_mode="forecast",
-            forecaster=MarkovRegimeForecaster(),
+        run = run_one_tenant(
+            cassandra, rafiki, workload, [0.9], window_seconds=30,
+            policy=damped(ForecastPolicy(MarkovRegimeForecaster())), load=False,
         )
-        run = ctrl.run([0.9], load=False)
         assert rafiki.asked == []
         assert not run.events[0].reconfigured
 
     def test_forecaster_updated_with_observations(self, cassandra, workload):
         forecaster = MarkovRegimeForecaster()
-        ctrl = OnlineController(
-            cassandra, None, workload, window_seconds=30,
-            decision_mode="forecast", forecaster=forecaster,
+        run_one_tenant(
+            cassandra, None, workload, [0.9, 0.9, 0.9], window_seconds=30,
+            policy=damped(ForecastPolicy(forecaster), min_change=0.08),
+            load=False,
         )
-        ctrl.run([0.9, 0.9, 0.9], load=False)
         assert forecaster.predict() > 0.6
 
     def test_forecast_mode_skips_downtime(self, cassandra, workload):
@@ -115,17 +121,15 @@ class TestDecisionModes:
                     )
                 return result
 
-        def run_mode(mode, forecaster=None):
-            ctrl = OnlineController(
-                cassandra, SwitchingRafiki(cassandra), workload,
-                window_seconds=30, rr_change_threshold=0.01,
-                reconfiguration_penalty_s=15.0, decision_mode=mode,
-                forecaster=forecaster, seed=3,
+        def run_policy(policy):
+            return run_one_tenant(
+                cassandra, SwitchingRafiki(cassandra), workload, [0.2, 0.9],
+                window_seconds=30, reconfiguration_penalty_s=15.0,
+                policy=damped(policy), seed=3, load=False,
             )
-            return ctrl.run([0.2, 0.9], load=False)
 
-        reactive = run_mode("oracle")
-        proactive = run_mode("forecast", LastValueForecaster(initial=0.2))
+        reactive = run_policy(OraclePolicy())
+        proactive = run_policy(ForecastPolicy(LastValueForecaster(initial=0.2)))
         # Note: both switch configurations; only the oracle/reactive one
         # pays the in-window penalty.
         assert proactive.events[-1].mean_throughput >= reactive.events[-1].mean_throughput

@@ -1,6 +1,8 @@
 
+import numpy as np
+
 from repro.config.cassandra import LEVELED
-from repro.lsm.engine import LSMEngine
+from repro.lsm.engine import OP_READ, LSMEngine
 from repro.sim.clock import SimClock
 
 from tests.conftest import make_knobs
@@ -202,3 +204,70 @@ class TestCostAccounting:
         engine = LSMEngine(small_knobs, clock=clock)
         engine.put("a", b"x")
         assert engine.clock.now > 100.0
+
+
+class TestNulSuffixedKeys:
+    """numpy unicode arrays drop trailing NULs; the engine must not.
+
+    Batches of at least eight keys take the vectorized probe when they
+    can, so every batch below is padded with plain keys.
+    """
+
+    NUL_KEYS = ["\x00", "a\x00", "b\x00\x00"]
+    PLAIN = [f"plain{i:02d}" for i in range(12)]
+
+    def flushed_engine(self, knobs, keys):
+        engine = LSMEngine(knobs)
+        for i, key in enumerate(keys):
+            engine.put(key, f"v{i}".encode())
+        engine.flush()
+        return engine
+
+    def test_get_after_flush(self, small_knobs):
+        engine = self.flushed_engine(small_knobs, self.NUL_KEYS + self.PLAIN)
+        for i, key in enumerate(self.NUL_KEYS + self.PLAIN):
+            assert engine.get(key) == f"v{i}".encode(), repr(key)
+
+    def test_multi_get_after_flush(self, small_knobs):
+        keys = self.NUL_KEYS + self.PLAIN
+        engine = self.flushed_engine(small_knobs, keys)
+        got = engine.multi_get(keys)
+        assert got == {key: f"v{i}".encode() for i, key in enumerate(keys)}
+
+    def assert_batch_reads_match_scalar(self, knobs, stored, reads):
+        batched = self.flushed_engine(knobs, stored)
+        scalar = self.flushed_engine(knobs, stored)
+        kinds = np.full(len(reads), OP_READ, dtype=np.int8)
+        batched.execute_batch(kinds, reads)
+        for key in reads:
+            scalar.get(key)
+        assert batched.stats == scalar.stats
+        assert batched.clock.now == scalar.clock.now
+        return batched.stats
+
+    def test_execute_batch_reads_after_flush(self, small_knobs):
+        keys = self.NUL_KEYS + self.PLAIN
+        stats = self.assert_batch_reads_match_scalar(small_knobs, keys, keys)
+        # Every read found its record in the flushed table.
+        assert stats.bloom_true_positives == len(keys)
+
+    def test_plain_batch_against_a_table_with_nul_keys(self):
+        # The table holds only "k\x00" keys; the batch asks for every
+        # "k".  numpy compares the two equal, so a leaky bloom filter
+        # would let a vectorized probe return the NUL key's record.
+        keys = [f"key{i:03d}" for i in range(50)]
+        engine = self.flushed_engine(
+            make_knobs(bloom_fp_chance=0.5), [k + "\x00" for k in keys]
+        )
+        assert engine.multi_get(keys) == {k: None for k in keys}
+
+    def test_nul_suffix_is_a_distinct_key(self, small_knobs):
+        engine = self.flushed_engine(small_knobs, ["a", "a\x00"] + self.PLAIN)
+        assert engine.get("a") == b"v0"
+        assert engine.get("a\x00") == b"v1"
+        got = engine.multi_get(["a", "a\x00"] + self.PLAIN)
+        assert (got["a"], got["a\x00"]) == (b"v0", b"v1")
+
+        only_nul = self.flushed_engine(small_knobs, ["a\x00"] + self.PLAIN)
+        assert only_nul.get("a") is None
+        assert only_nul.multi_get(["a"] + self.PLAIN)["a"] is None

@@ -1,16 +1,20 @@
-"""A single-tenant middleware run is bit-identical to the legacy controller.
+"""A one-tenant scheduler reproduces the frozen single-tenant oracle.
 
-The contract: ``MiddlewareScheduler`` hosting exactly one tenant must
-reproduce the exact :class:`ControllerRun` of ``OnlineController.run()``
-on the same seed — same throughput floats, same reconfigure/rollback/
-degraded flags, same configurations, and the same ``controller.*`` /
-``fault.*`` / ``actuate.*`` event sequence (modulo the tenant-namespace
-prefix the scheduler adds).
+``tests/fixtures/controller_oracle.json`` holds what the retired
+single-tenant controller produced for the three scenarios below, on the
+same seeds: every window's read ratio and mean throughput as
+``float.hex``, its flags and non-default configuration knobs, and the
+``(topic, message)`` event sequence.  A ``MiddlewareScheduler`` hosting
+exactly one tenant must reproduce it bit for bit; its tenant events
+carry the ``tenant.<id>.`` prefix, which is stripped before comparing,
+and its closing ``actuate.teardown`` event is additive.
 """
+
+import json
+import pathlib
 
 import pytest
 
-from repro.core.controller import OnlineController
 from repro.core.policies import HysteresisPolicy, OraclePolicy
 from repro.core.search import OptimizationResult
 from repro.datastore import CassandraLike
@@ -20,6 +24,10 @@ from repro.runtime import EventBus
 from repro.workload.spec import WorkloadSpec
 
 SERIES = [0.1, 0.1, 0.9, 0.9, 0.3, 0.8, 0.8, 0.2]
+
+ORACLE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "controller_oracle.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,23 +68,6 @@ class FakeRafiki:
         return 40_000.0 + 10_000.0 * read_ratio, 2_000.0
 
 
-def run_legacy(cassandra, workload, **kwargs):
-    events = EventBus()
-    log = []
-    events.subscribe(log.append)
-    controller = OnlineController(
-        cassandra,
-        FakeRafiki(cassandra),
-        workload,
-        window_seconds=60,
-        policy=HysteresisPolicy(OraclePolicy(), min_change=0.08),
-        seed=7,
-        events=events,
-        **kwargs,
-    )
-    return controller.run(SERIES, load=False), log
-
-
 def run_middleware(cassandra, workload, **kwargs):
     events = EventBus()
     log = []
@@ -97,43 +88,53 @@ def run_middleware(cassandra, workload, **kwargs):
     return scheduler.run()["t0"], log
 
 
-def assert_runs_identical(legacy, tenant):
-    assert len(legacy.events) == len(tenant.events)
-    for a, b in zip(legacy.events, tenant.events):
-        assert a.window_index == b.window_index
-        assert a.read_ratio == b.read_ratio
-        assert a.reconfigured == b.reconfigured
-        assert a.configuration == b.configuration
-        assert a.mean_throughput == b.mean_throughput  # bitwise
-        assert a.rolled_back == b.rolled_back
-        assert a.degraded == b.degraded
-    assert legacy.mean_throughput == tenant.mean_throughput
+def encode_value(value):
+    return {"float": value.hex()} if isinstance(value, float) else value
 
 
-def tenant_event_view(log, tenant_id="t0"):
-    """The tenant's events with the namespace stripped, scheduler noise out."""
+def encode_run(run, log, tenant_id="t0"):
+    """The run in the fixture's encoding; tenant events de-namespaced."""
     prefix = f"tenant.{tenant_id}."
-    return [
-        (e.topic[len(prefix):], e.message)
-        for e in log
-        if e.topic.startswith(prefix)
-    ]
+    return {
+        "windows": [
+            {
+                "window_index": e.window_index,
+                "read_ratio": e.read_ratio.hex(),
+                "reconfigured": e.reconfigured,
+                "configuration": {
+                    k: encode_value(v)
+                    for k, v in sorted(e.configuration.non_default_items().items())
+                },
+                "mean_throughput": float(e.mean_throughput).hex(),
+                "rolled_back": e.rolled_back,
+                "degraded": e.degraded,
+                "shed": e.shed,
+                "quarantined": e.quarantined,
+            }
+            for e in run.events
+        ],
+        "mean_throughput": float(run.mean_throughput).hex(),
+        "events": [
+            [e.topic[len(prefix):], e.message]
+            for e in log
+            if e.topic.startswith(prefix)
+            and e.topic != f"{prefix}actuate.teardown"
+        ],
+    }
+
+
+def assert_matches_oracle(name, run, log):
+    expected = ORACLE[name]
+    got = encode_run(run, log)
+    assert got["windows"] == expected["windows"]
+    assert got["mean_throughput"] == expected["mean_throughput"]
+    assert got["events"] == expected["events"]
 
 
 class TestSingleTenantEquivalence:
     def test_plain_run_is_bit_identical(self, cassandra, workload):
-        legacy, legacy_log = run_legacy(cassandra, workload)
-        tenant, mw_log = run_middleware(cassandra, workload)
-        assert_runs_identical(legacy, tenant)
-        legacy_view = [(e.topic, e.message) for e in legacy_log]
-        # The middleware teardown event is additive (the legacy shim
-        # keeps its server); everything before it must match exactly.
-        mw_view = [
-            pair
-            for pair in tenant_event_view(mw_log)
-            if pair[0] != "actuate.teardown"
-        ]
-        assert mw_view == legacy_view
+        run, log = run_middleware(cassandra, workload)
+        assert_matches_oracle("plain", run, log)
 
     def test_faulty_canaried_run_is_bit_identical(self, cassandra, workload):
         plan = FaultPlan.generate(
@@ -145,20 +146,15 @@ class TestSingleTenantEquivalence:
             push_fault_probability=0.4,
         )
         assert not plan.is_empty  # the seed must actually exercise faults
-        kwargs = dict(fault_plan=plan, canary_margin=0.05, canary_std_factor=0.0)
-        legacy, legacy_log = run_legacy(cassandra, workload, **kwargs)
-        tenant, mw_log = run_middleware(cassandra, workload, **kwargs)
-        assert_runs_identical(legacy, tenant)
-        legacy_view = [(e.topic, e.message) for e in legacy_log]
-        mw_view = [
-            pair
-            for pair in tenant_event_view(mw_log)
-            if pair[0] != "actuate.teardown"
-        ]
-        assert mw_view == legacy_view
+        run, log = run_middleware(
+            cassandra, workload, fault_plan=plan, canary_margin=0.05,
+            canary_std_factor=0.0,
+        )
+        assert_matches_oracle("faulty_canaried", run, log)
+        assert run.rollback_count >= 1
 
     def test_multinode_run_is_bit_identical(self, cassandra, workload):
-        kwargs = dict(n_nodes=3, replication_factor=2)
-        legacy, _ = run_legacy(cassandra, workload, **kwargs)
-        tenant, _ = run_middleware(cassandra, workload, **kwargs)
-        assert_runs_identical(legacy, tenant)
+        run, log = run_middleware(
+            cassandra, workload, n_nodes=3, replication_factor=2
+        )
+        assert_matches_oracle("multinode", run, log)

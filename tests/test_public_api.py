@@ -1,7 +1,16 @@
 """The documented public API stays importable from the package root."""
 
+import importlib.util
+import inspect
 
 import repro
+import repro.core
+import repro.core.controller
+import repro.runtime
+from repro.bench.collection import DataCollectionCampaign
+from repro.core.anova import rank_parameters
+from repro.core.rafiki import RafikiPipeline
+from repro.middleware import TenantSession, TenantSpec
 from repro.errors import (
     ConfigurationError,
     DatastoreError,
@@ -55,3 +64,38 @@ class TestErrorHierarchy:
         err = KeyNotFound("abc")
         assert err.key == "abc"
         assert "abc" in str(err)
+
+
+class TestRemovedNames:
+    """Names deliberately removed with the single-tenant controller shim.
+
+    One online loop remains: a ``MiddlewareScheduler`` with one
+    ``TenantSpec`` per tenant.  The deprecation funnel went with it.
+    """
+
+    REMOVED = [
+        "OnlineController",
+        "warn_deprecated",
+        "reset_deprecation_registry",
+        "callback_subscriber",
+    ]
+
+    def test_removed_names_are_not_exported(self):
+        for module in (repro, repro.core, repro.core.controller, repro.runtime):
+            for name in self.REMOVED:
+                assert name not in getattr(module, "__all__", ()), name
+                assert not hasattr(module, name), (module.__name__, name)
+
+    def test_deprecation_module_is_gone(self):
+        assert importlib.util.find_spec("repro.runtime.deprecation") is None
+
+    def test_removed_parameters(self):
+        removed = {
+            RafikiPipeline.__init__: "progress",
+            DataCollectionCampaign.__init__: "progress",
+            rank_parameters: "progress",
+            TenantSession.__init__: "passive_forecaster",
+        }
+        for fn, name in removed.items():
+            assert name not in inspect.signature(fn).parameters, fn
+        assert "decision_mode" not in inspect.signature(TenantSpec).parameters
