@@ -39,6 +39,7 @@ from repro.bench.metrics import BenchmarkResult
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config.space import Configuration
 from repro.datastore.base import Datastore
+from repro.errors import ConfigurationError, WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.recovery.journal import Journal
 from repro.runtime.backend import ExecutionBackend, resolve_backend
@@ -100,11 +101,11 @@ class DataCollectionCampaign:
         journal: Optional[Union[str, pathlib.Path]] = None,
     ):
         if n_workloads < 2:
-            raise ValueError("need at least two workloads")
+            raise WorkloadError("need at least two workloads")
         if n_configurations < 1:
-            raise ValueError("need at least one configuration")
+            raise ConfigurationError("need at least one configuration")
         if retry_faulty < 0:
-            raise ValueError("retry_faulty must be >= 0")
+            raise ConfigurationError("retry_faulty must be >= 0")
         self.datastore = datastore
         self.base_workload = base_workload
         self.key_parameters = tuple(key_parameters or datastore.key_parameters)

@@ -21,6 +21,7 @@ from repro.bench.metrics import BenchmarkResult, ThroughputSample
 from repro.config.space import Configuration
 from repro.datastore.adapter import SimulatedDatastoreAdapter
 from repro.datastore.base import Datastore
+from repro.errors import WorkloadError
 from repro.sim.rng import SeedLike, derive_rng
 from repro.workload.generator import OperationGenerator
 from repro.workload.spec import DELETE, READ, WorkloadSpec
@@ -48,7 +49,7 @@ class YCSBBenchmark:
         report_interval: float = REPORT_INTERVAL_SECONDS,
     ):
         if run_seconds <= 0 or step_seconds <= 0:
-            raise ValueError("durations must be positive")
+            raise WorkloadError("durations must be positive")
         self.datastore = datastore
         self.run_seconds = run_seconds
         self.step_seconds = step_seconds

@@ -24,7 +24,7 @@ bit-for-bit yields a bit-identical :class:`GAResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -69,9 +69,10 @@ class GeneticAlgorithm:
         this queries the surrogate with the workload fixed (Equation 4).
     fitness_batch_fn:
         Maps a ``(n, n_genes)`` matrix to ``(n,)`` raw fitnesses in one
-        call.  Preferred when present: the surrogate then runs each
-        member network once per generation instead of once per
-        individual.
+        call.  Preferred when present: the surrogate then runs once per
+        generation instead of once per individual.  Each batch also
+        carries the previous generation's snapped winner as its first
+        row, so a row must score the same bits alone as in a batch.
     penalty_scale:
         Deb-penalty coefficient; if None it is set adaptively to the
         spread of the initial population's fitness.
@@ -118,23 +119,20 @@ class GeneticAlgorithm:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _raw_fitness_many(self, population: Sequence[np.ndarray]) -> np.ndarray:
-        """Raw fitness of every individual; one batched call if possible."""
-        self.evaluations += len(population)
+    def _raw_fitness(self, genes: np.ndarray) -> np.ndarray:
+        """Raw fitness of every row of ``genes``; one batched call if possible."""
         if self.fitness_batch_fn is not None:
-            out = np.asarray(
-                self.fitness_batch_fn(np.stack(population)), dtype=float
-            ).ravel()
-            if out.shape[0] != len(population):
+            out = np.asarray(self.fitness_batch_fn(genes), dtype=float).ravel()
+            if out.shape[0] != genes.shape[0]:
                 raise SearchError(
                     f"fitness_batch_fn returned {out.shape[0]} scores "
-                    f"for {len(population)} individuals"
+                    f"for {genes.shape[0]} individuals"
                 )
             return out
-        return np.array([float(self.fitness_fn(g)) for g in population])
+        return np.array([float(self.fitness_fn(g)) for g in genes])
 
-    def _penalized_many(
-        self, population: Sequence[np.ndarray], raw: np.ndarray, penalty_scale: float
+    def _penalized(
+        self, population: np.ndarray, raw: np.ndarray, penalty_scale: float
     ) -> np.ndarray:
         """Deb-penalized fitness for the whole population.
 
@@ -142,8 +140,35 @@ class GeneticAlgorithm:
         for bit: feasible rows pass through untouched, infeasible rows
         subtract the same product.
         """
-        violations = self.encoder.violation_batch(np.stack(population))
+        violations = self.encoder.violation_batch(population)
         return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
+
+    def _offspring(
+        self, population: np.ndarray, fitness: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The next generation: the elites, then the children.
+
+        Variation runs population-at-a-time: every child's parents,
+        crossover weights, and mutation draws come from one block RNG
+        call each, so per-generation python overhead is O(1) in the
+        population size.  Both fitness modes share this block, which
+        keeps their RNG streams — and hence their trajectories —
+        identical.
+        """
+        order = np.argsort(fitness)[::-1]
+        n_children = self.population_size - self.elites
+        ia = tournament_select_many(fitness, rng, n_children)
+        ib = tournament_select_many(fitness, rng, n_children)
+        children = weighted_average_crossover_many(population[ia], population[ib], rng)
+        children = gaussian_mutation_many(
+            children,
+            self.encoder.lower,
+            self.encoder.upper,
+            rng,
+            rate=self.mutation_rate,
+            scale=self.mutation_scale,
+        )
+        return np.concatenate([population[order[: self.elites]], children])
 
     def _publish(self, topic: str, message: str, **payload) -> None:
         if self.bus is not None:
@@ -167,69 +192,64 @@ class GeneticAlgorithm:
             batched=self.fitness_batch_fn is not None,
         )
 
-        population = [self.encoder.random_genes(rng) for _ in range(self.population_size)]
+        n = self.population_size
+        population = np.stack([self.encoder.random_genes(rng) for _ in range(n)])
         if initial:
-            for i, genes in enumerate(initial[: self.population_size]):
+            for i, genes in enumerate(initial[:n]):
                 population[i] = np.asarray(genes, dtype=float)
 
-        raw_first = self._raw_fitness_many(population)
+        raw_first = self._raw_fitness(population)
+        self.evaluations = n
         if self.penalty_scale is not None:
             penalty_scale = self.penalty_scale
         else:
             spread = max(np.ptp(raw_first), abs(np.mean(raw_first)) * 0.1, 1e-9)
             penalty_scale = 2.0 * spread
-        fitness = self._penalized_many(population, raw_first, penalty_scale)
+        fitness = self._penalized(population, raw_first, penalty_scale)
 
-        best_genes, best_fit = self._best_feasible(population, fitness)
-        history = [best_fit]
+        # Each generation's best individual is re-scored on its *snapped*
+        # genes, so the reported fitness belongs to an applicable
+        # configuration.  That row rides at the head of the next
+        # generation's batch, and the generation is judged once the
+        # batch returns.  A stop therefore wastes one speculative batch,
+        # whose rows are not counted; the last generation's winner is
+        # scored alone.  With a row-stable batch function every result
+        # and event is the one scoring each winner alone would give.
+        best_genes, best_fit = None, 0.0
+        history: List[float] = []
         stagnant = 0
-        generation = 0
+        for generation in range(self.generations + 1):
+            winner = self.encoder.snap(population[int(np.argmax(fitness))])
+            last = generation == self.generations
+            if last:
+                batch = winner[None, :]
+            else:
+                population = self._offspring(population, fitness, rng)
+                batch = np.concatenate([winner[None, :], population])
+            scores = self._raw_fitness(batch)
+            self.evaluations += 1
 
-        for generation in range(1, self.generations + 1):
-            # Variation runs population-at-a-time: every child's parents,
-            # crossover weights, and mutation draws come from one block
-            # RNG call each, so per-generation python overhead is O(1)
-            # in the population size.  Both fitness modes share this
-            # block, which keeps their RNG streams — and hence their
-            # trajectories — identical.
-            order = np.argsort(fitness)[::-1]
-            pop_matrix = np.stack(population)
-            n_children = self.population_size - self.elites
-            ia = tournament_select_many(fitness, rng, n_children)
-            ib = tournament_select_many(fitness, rng, n_children)
-            children = weighted_average_crossover_many(
-                pop_matrix[ia], pop_matrix[ib], rng
-            )
-            children = gaussian_mutation_many(
-                children,
-                self.encoder.lower,
-                self.encoder.upper,
-                rng,
-                rate=self.mutation_rate,
-                scale=self.mutation_scale,
-            )
-            population = [
-                pop_matrix[int(i)].copy() for i in order[: self.elites]
-            ] + list(children)
-            raw = self._raw_fitness_many(population)
-            fitness = self._penalized_many(population, raw, penalty_scale)
-
-            gen_best_genes, gen_best_fit = self._best_feasible(population, fitness)
-            if gen_best_fit > best_fit + 1e-12:
-                best_genes, best_fit = gen_best_genes, gen_best_fit
+            winner_fit = float(scores[0])
+            if best_genes is None or winner_fit > best_fit + 1e-12:
+                best_genes, best_fit = winner, winner_fit
                 stagnant = 0
             else:
                 stagnant += 1
             history.append(best_fit)
-            self._publish(
-                "search.generation",
-                f"generation {generation}: best {best_fit:,.1f}",
-                generation=generation,
-                best_fitness=best_fit,
-                evaluations=self.evaluations,
-            )
-            if stagnant >= self.stagnation_limit:
+            if generation > 0:
+                self._publish(
+                    "search.generation",
+                    f"generation {generation}: best {best_fit:,.1f}",
+                    generation=generation,
+                    best_fitness=best_fit,
+                    evaluations=self.evaluations,
+                )
+                if stagnant >= self.stagnation_limit:
+                    break
+            if last:
                 break
+            self.evaluations += n
+            fitness = self._penalized(population, scores[1:], penalty_scale)
 
         config = self.encoder.decode(best_genes)
         self._publish(
@@ -246,16 +266,3 @@ class GeneticAlgorithm:
             generations=generation,
             history=history,
         )
-
-    def _best_feasible(self, population, fitness):
-        """Best individual after snapping to feasibility.
-
-        The winner is re-scored on its *snapped* genes so the reported
-        fitness corresponds to an actually applicable configuration.
-        """
-        best_idx = int(np.argmax(fitness))
-        genes = population[best_idx]
-        config = self.encoder.decode(genes)
-        snapped = self.encoder.encode(config)
-        raw = float(self._raw_fitness_many([snapped])[0])
-        return snapped, raw

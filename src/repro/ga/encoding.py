@@ -91,6 +91,17 @@ class ConfigurationEncoder:
                 overrides[spec.name] = float(g)
         return Configuration(self.space, overrides)
 
+    def snap(self, genes: np.ndarray) -> np.ndarray:
+        """Genes of the nearest feasible configuration, without building it.
+
+        Bit-identical to ``encode(decode(genes))``: clip to the bounds,
+        then round the integral genes half to even, as Python's
+        ``round`` does.  Adding ``0.0`` turns a rounded ``-0.0`` into
+        the ``0.0`` that ``float(int(...))`` gives.
+        """
+        clipped = np.clip(np.asarray(genes, dtype=float), self.lower, self.upper)
+        return np.where(self.integral, np.round(clipped) + 0.0, clipped)
+
     def features(self, genes: np.ndarray, read_ratio: float) -> np.ndarray:
         """Surrogate feature row for (possibly infeasible) genes.
 

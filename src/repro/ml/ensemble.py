@@ -63,6 +63,26 @@ def train_member_task(task: MemberTask) -> Tuple[FeedForwardNetwork, TrainingRes
     return net, result
 
 
+def _stack_members(
+    networks: Sequence[FeedForwardNetwork],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per layer, every member's ``(in, out)`` weights as one
+    ``(M, in, out)`` array and its biases as ``(M, 1, out)``."""
+    if not networks:
+        return []
+    if any(net.layer_sizes != networks[0].layer_sizes for net in networks):
+        raise TrainingError("ensemble members must share one topology")
+    if networks[0].layer_sizes[-1] != 1:
+        raise TrainingError("ensemble members must have a single output")
+    return [
+        (
+            np.stack([net.weights[i] for net in networks]),
+            np.stack([net.biases[i] for net in networks])[:, None, :],
+        )
+        for i in range(len(networks[0].weights))
+    ]
+
+
 class NetworkEnsemble:
     """Average of independently initialized Bayesian-regularized nets.
 
@@ -72,11 +92,35 @@ class NetworkEnsemble:
 
     def __init__(self, config: Optional[EnsembleConfig] = None):
         self.config = config or EnsembleConfig()
-        self.networks: List[FeedForwardNetwork] = []
+        self.networks = []
         self.training_results: List[TrainingResult] = []
         self.pruned_count = 0
         self.x_scaler = StandardScaler()
         self.y_scaler = StandardScaler()
+
+    @property
+    def networks(self) -> List[FeedForwardNetwork]:
+        """The active members.
+
+        Assigning a list stacks their weights for inference, so members
+        are frozen once assigned: to change one, assign a new list.
+        """
+        return self.__dict__["networks"]
+
+    @networks.setter
+    def networks(self, networks: Sequence[FeedForwardNetwork]) -> None:
+        # The member list keeps its own name in the instance dict, and
+        # the stack stays out of the pickled state: a pickled ensemble
+        # is exactly its members, scalers, and config.
+        self.__dict__["networks"] = list(networks)
+        self._stack = _stack_members(self.__dict__["networks"])
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_stack"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._stack = _stack_members(self.networks)
 
     @property
     def is_fitted(self) -> bool:
@@ -207,13 +251,21 @@ class NetworkEnsemble:
     def _mean_std_scaled(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Member mean and spread in *standardized* target units.
 
-        One forward pass per member, accumulated sequentially with
-        elementwise ops: unlike ``np.mean``/``np.std`` axis reductions
-        (whose unrolled base cases change accumulation order with the
-        column count), the result for each row is bit-identical whether
-        it is evaluated alone or inside a batch.
+        All members run at once, one stacked ``einsum`` per layer.  Its
+        per-row reduction order does not depend on the row count (BLAS
+        ``@`` does not promise that: gemm and gemv accumulate
+        differently), and mean and spread accumulate member by member
+        with elementwise ops rather than ``np.mean``/``np.std`` axis
+        reductions, whose unrolled base cases change the order with the
+        column count.  So each row's result is bit-identical whether it
+        is evaluated alone or inside a batch.
         """
-        forwards = [net.forward_rows(xs) for net in self.networks]
+        a = xs
+        last = len(self._stack) - 1
+        for i, (w, b) in enumerate(self._stack):
+            z = np.einsum("ij,mjk->mik" if i == 0 else "mij,mjk->mik", a, w) + b
+            a = z if i == last else np.tanh(z)
+        forwards = a[:, :, 0]
         total = forwards[0].copy()
         for f in forwards[1:]:
             total += f

@@ -92,29 +92,6 @@ class FeedForwardNetwork:
         out, _ = self._forward_full(x)
         return out[:, 0] if out.shape[1] == 1 else out
 
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Row-stable inference forward pass: ``(n, d) -> (n,)``.
-
-        The inference hot path (ensemble queries, batched GA fitness)
-        needs each output row to be bit-identical whether the row is
-        evaluated alone or inside a larger matrix.  BLAS ``@`` does not
-        guarantee that — gemm and gemv accumulate in different orders —
-        so this path contracts with ``einsum``, whose per-row reduction
-        order is independent of the batch size.  Training keeps the BLAS
-        path (:meth:`predict`/:meth:`jacobian`), where row stability is
-        irrelevant and raw speed on large Jacobians wins.
-        """
-        if self.layer_sizes[-1] != 1:
-            raise TrainingError("forward_rows supports single-output networks only")
-        a = np.asarray(x, dtype=float)
-        if a.ndim == 1:
-            a = a[None, :]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.einsum("ij,jk->ik", a, w) + b
-            a = z if i == n_layers - 1 else np.tanh(z)
-        return a[:, 0]
-
     # -- jacobian -------------------------------------------------------------------
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:

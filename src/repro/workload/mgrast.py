@@ -27,6 +27,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.errors import WorkloadError
 from repro.sim.rng import SeedLike, derive_rng
 from repro.workload.keydist import ExponentialReuseKeyDistribution
 from repro.workload.spec import READ, WRITE, WorkloadSpec
@@ -84,7 +85,15 @@ class MGRastTraceGenerator:
     # ------------------------------------------------------------------ RR series
 
     def read_ratio_series(self, duration_seconds: float = FOUR_DAYS_SECONDS) -> np.ndarray:
-        """Per-window read ratios over ``duration_seconds`` (Figure 3)."""
+        """Per-window read ratios over ``duration_seconds`` (Figure 3).
+
+        A positive duration shorter than one window still yields one
+        window; a non-positive one is an error.
+        """
+        if not duration_seconds > 0:
+            raise WorkloadError(
+                f"trace duration must be positive, got {duration_seconds} s"
+            )
         n_windows = max(1, int(duration_seconds // self.window_seconds))
         series = np.empty(n_windows)
         i = 0

@@ -9,13 +9,16 @@ scoring a row alone or inside a batch gives the same bits.  These tests
 pin that contract.
 """
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.dataset import PerformanceDataset, PerformanceSample
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
+from repro.core.persistence import surrogate_from_dict, surrogate_to_dict
 from repro.core.search import ConfigurationOptimizer, GreedySearch, RandomSearch
 from repro.core.surrogate import SurrogateModel
 from repro.ga.algorithm import GeneticAlgorithm
@@ -24,6 +27,7 @@ from repro.ml.ensemble import EnsembleConfig, NetworkEnsemble
 from repro.ml.network import FeedForwardNetwork
 from repro.runtime.events import EventBus
 from repro.workload.spec import WorkloadSpec
+from tests.reference import ensemble_mean_std_scaled, forward_rows
 
 PARAMS = list(CASSANDRA_KEY_PARAMETERS)
 SPACE = cassandra_space()
@@ -105,9 +109,80 @@ class TestEnsembleBatchEquivalence:
     def test_forward_rows_row_stable(self):
         net = FeedForwardNetwork([6, 14, 4, 1], rng=np.random.default_rng(9))
         x = np.random.default_rng(11).standard_normal((200, 6))
-        full = net.forward_rows(x)
-        rows = np.array([net.forward_rows(x[i])[0] for i in range(200)])
+        full = forward_rows(net, x)
+        rows = np.array([forward_rows(net, x[i])[0] for i in range(200)])
         assert np.array_equal(full, rows)
+
+
+def reference_mean_std(ens, x):
+    """``predict_mean_std`` computed by the per-member reference walk."""
+    mean, std = ensemble_mean_std_scaled(ens, ens.x_scaler.transform(x))
+    return ens.y_scaler.inverse_transform(mean), std * ens.y_scaler.scale_[0]
+
+
+def assert_predicts_like_reference(ens, x):
+    mean, std = ens.predict_mean_std(x)
+    ref_mean, ref_std = reference_mean_std(ens, x)
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(std, ref_std)
+
+
+class TestStackedEnsemble:
+    """The ensemble runs its members as one stacked contraction per
+    layer; it must give the per-member reference walk's bits."""
+
+    @given(
+        n_rows=st.integers(min_value=1, max_value=500),
+        n_networks=st.integers(min_value=1, max_value=14),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(n_rows=1, n_networks=14, seed=23)
+    @example(n_rows=2, n_networks=14, seed=23)
+    @example(n_rows=47, n_networks=14, seed=23)
+    @example(n_rows=48, n_networks=14, seed=23)
+    @example(n_rows=49, n_networks=14, seed=23)
+    @example(n_rows=500, n_networks=14, seed=23)
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_rows_are_stable_and_match_reference(self, n_rows, n_networks, seed):
+        ens = make_ensemble(n_features=6, n_networks=n_networks, seed=seed % 1000)
+        x = np.random.default_rng(seed).standard_normal((n_rows, 6))
+        assert_predicts_like_reference(ens, x)
+        mean, std = ens.predict_mean_std(x)
+        for i in np.random.default_rng(seed).choice(n_rows, min(n_rows, 8), replace=False):
+            m_i, s_i = ens.predict_mean_std(x[i])
+            assert mean[i] == m_i[0]
+            assert std[i] == s_i[0]
+
+    def test_reassigning_members_restacks(self):
+        ens = make_ensemble(n_features=6, n_networks=4, seed=2)
+        x = np.random.default_rng(0).standard_normal((9, 6))
+        before = ens.predict(x)
+        members = [net.clone() for net in ens.networks]
+        members[0].set_weights(members[0].get_weights() * 1.5)
+        ens.networks = members
+        assert not np.array_equal(ens.predict(x), before)
+        assert_predicts_like_reference(ens, x)
+
+    def test_stack_stays_off_the_wire(self):
+        surrogate = SurrogateModel(SPACE, PARAMS)
+        surrogate.ensemble = make_ensemble(n_features=6, n_networks=14, seed=4)
+        blob = pickle.dumps(surrogate)
+        surrogate.ensemble.predict_mean_std(np.random.default_rng(1).standard_normal((48, 6)))
+        assert pickle.dumps(surrogate) == blob
+        assert b"_stack" not in blob
+
+    def test_round_trips_predict_bit_identically(self):
+        surrogate = SurrogateModel(SPACE, PARAMS)
+        surrogate.ensemble = make_ensemble(n_features=6, n_networks=14, seed=8)
+        x = np.random.default_rng(2).standard_normal((49, 6))
+        expected = surrogate.predict_mean_std(x)
+        restored = [
+            pickle.loads(pickle.dumps(surrogate)),
+            surrogate_from_dict(surrogate_to_dict(surrogate), SPACE),
+        ]
+        for copy in restored:
+            for got, want in zip(copy.predict_mean_std(x), expected):
+                assert np.array_equal(got, want)
 
 
 def elementwise_fitness(weights):

@@ -4,6 +4,7 @@ import pytest
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.ycsb import YCSBBenchmark
 from repro.datastore import CassandraLike
+from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.spec import WorkloadSpec
 
 
@@ -56,9 +57,9 @@ class TestPlan:
         assert cassandra.default_configuration() in camp.configurations()
 
     def test_validation(self, cassandra, base_workload):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             small_campaign(cassandra, base_workload, n_workloads=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             small_campaign(cassandra, base_workload, n_configurations=0)
 
 
@@ -169,5 +170,5 @@ class TestRetryFaulted:
         assert (baseline.targets() == explicit.targets()).all()
 
     def test_retry_budget_validated(self, cassandra, base_workload):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             small_campaign(cassandra, base_workload, retry_faulty=-1)

@@ -2,6 +2,7 @@ import pytest
 
 from repro.bench.ycsb import YCSBBenchmark
 from repro.datastore import CassandraLike
+from repro.errors import WorkloadError
 from repro.workload.spec import WorkloadSpec
 
 
@@ -55,9 +56,9 @@ class TestAnalyticRun:
         assert result.metadata["sstable_count"] <= 2
 
     def test_invalid_durations(self, cassandra):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             YCSBBenchmark(cassandra, run_seconds=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             YCSBBenchmark(cassandra, step_seconds=0)
 
 

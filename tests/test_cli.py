@@ -358,6 +358,42 @@ class TestVerifyArtifact:
         assert main(["verify-artifact", str(tmp_path / "nope.json")]) == 1
 
 
+class TestErrorExits:
+    """Every subcommand maps a ``ReproError`` to one ``error:`` line on
+    stderr and exit 1: no traceback, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["collect", "--workloads", "1"], "at least two workloads"),
+            (["collect", "--run-seconds", "0"], "durations must be positive"),
+            (["resume", "--journal", "{tmp}/missing.wal"], "journal not found"),
+            (["train", "--dataset", "{dataset}", "--networks", "0"],
+             "at least one network"),
+            (["replay", "--surrogate", "{surrogate}", "--hours", "-2"],
+             "duration must be positive"),
+            (["characterize", "--hours", "-2"], "duration must be positive"),
+        ],
+        ids=["collect-workloads", "collect-run-seconds", "resume", "train",
+             "replay", "characterize"],
+    )
+    def test_one_line_error_and_exit_1(self, artifacts, tmp_path, capsys, argv, message):
+        dataset, surrogate = artifacts
+        fill = dict(tmp=tmp_path, dataset=dataset, surrogate=surrogate)
+        argv = [arg.format(**fill) for arg in argv]
+        if argv[0] in ("collect", "resume"):
+            argv += ["--out", str(tmp_path / "out.json"), "--quiet"]
+        if argv[0] == "train":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in captured.err
+        assert err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestValidation:
     def test_unknown_datastore(self, artifacts):
         _, surrogate = artifacts

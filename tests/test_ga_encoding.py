@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
+from repro.config.parameter import (
+    CategoricalParameter,
+    FloatParameter,
+    IntegerParameter,
+)
+from repro.config.space import ConfigurationSpace
 from repro.errors import SearchError
 from repro.ga.encoding import ConfigurationEncoder
 
@@ -94,3 +100,54 @@ class TestViolation:
         config = encoder.decode(genes)
         snapped = encoder.encode(config)
         assert encoder.violation(snapped) == 0.0
+
+
+#: Cassandra's key parameters all have non-negative bounds; this toy
+#: space adds negative and zero-straddling ranges, where rounding can
+#: produce ``-0.0``.
+SIGNED_SPACE = ConfigurationSpace(
+    "signed",
+    [
+        IntegerParameter("offset", default=0, low=-6, high=5),
+        FloatParameter("skew", default=0.0, low=-1.5, high=2.0),
+        CategoricalParameter("mode", default="b", choices=("a", "b", "c", "d")),
+        IntegerParameter("level", default=-3, low=-9, high=-1),
+    ],
+)
+SNAP_ENCODERS = (
+    ConfigurationEncoder(cassandra_space(), CASSANDRA_KEY_PARAMETERS),
+    ConfigurationEncoder(SIGNED_SPACE, SIGNED_SPACE.names),
+)
+
+
+@st.composite
+def encoder_and_genes(draw):
+    """An encoder and a gene vector mixing in-range values, overshoots,
+    exact ``.5`` ties, and signed zeros."""
+    encoder = draw(st.sampled_from(SNAP_ENCODERS))
+    genes = []
+    for low, high in zip(encoder.lower, encoder.upper):
+        span = high - low
+        tie = draw(st.integers(int(low) - 2, int(high) + 2)) + 0.5
+        genes.append(
+            draw(
+                st.one_of(
+                    st.floats(low - 2 * span, high + 2 * span),
+                    st.just(tie),
+                    st.sampled_from([0.0, -0.0, -0.4, 0.4, low, high]),
+                )
+            )
+        )
+    return encoder, np.array(genes)
+
+
+class TestSnap:
+    @given(case=encoder_and_genes())
+    @example(case=(SNAP_ENCODERS[1], np.array([2.5, 0.5, 1.5, -4.5])))
+    @example(case=(SNAP_ENCODERS[1], np.array([-0.4, -0.0, 0.5, -1.5])))
+    @settings(max_examples=300, deadline=None)
+    def test_snap_is_encode_of_decode_bitwise(self, case):
+        encoder, genes = case
+        expected = encoder.encode(encoder.decode(genes))
+        got = encoder.snap(genes)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in expected]

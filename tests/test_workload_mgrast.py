@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import WorkloadError
 from repro.workload.mgrast import FOUR_DAYS_SECONDS, MGRastPhase, MGRastTraceGenerator
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
@@ -77,6 +78,20 @@ class TestTraceGeneration:
         specs = gen.workload_specs(duration_seconds=3 * 3600)
         assert len(specs) == 3 * 3600 // DEFAULT_WINDOW_SECONDS
         assert all(0.0 <= s.read_ratio <= 1.0 for s in specs)
+
+
+class TestDuration:
+    @pytest.mark.parametrize("seconds", [0, -7200, float("nan")])
+    def test_non_positive_duration_rejected(self, seconds):
+        gen = MGRastTraceGenerator(seed=0, queries_per_window=10)
+        with pytest.raises(WorkloadError):
+            gen.generate(duration_seconds=seconds)
+        with pytest.raises(WorkloadError):
+            gen.read_ratio_series(seconds)
+
+    def test_short_positive_duration_is_one_window(self):
+        series = MGRastTraceGenerator(seed=0).read_ratio_series(1.0)
+        assert len(series) == 1
 
 
 class TestPhases:
