@@ -303,14 +303,7 @@ def _run_serve_campaign(surrogate: SurrogateModel, budget: dict, backend) -> tup
         ]
         for tid, r in results.items()
     }
-    # backend.state_* topics are exempt from the serial == sharded
-    # event-sequence contract (blob placement depends on OS worker
-    # scheduling), exactly as in tests/test_sharded_scheduler.py.
-    log_view = [
-        (e.topic, e.message)
-        for e in log
-        if not e.topic.startswith("backend.state")
-    ]
+    log_view = [(e.topic, e.message) for e in log]
     return summary, log_view, scheduler
 
 
@@ -437,11 +430,7 @@ def _run_state_campaign(
         ]
         for tid, r in results.items()
     }
-    log_view = [
-        (e.topic, e.message)
-        for e in log
-        if not e.topic.startswith("backend.state")
-    ]
+    log_view = [(e.topic, e.message) for e in log]
     return summary, log_view, scheduler
 
 

@@ -105,10 +105,7 @@ def run_fleet(capacity, victim_floor, shedding, workers=None):
     trace = []
 
     def record(e):
-        # State-shipping telemetry depends on which worker got which task,
-        # so it is exempt from serial==sharded equivalence (see DESIGN.md).
-        if not e.topic.startswith("backend.state"):
-            trace.append((e.topic, e.message, tuple(sorted(e.payload.items()))))
+        trace.append((e.topic, e.message, tuple(sorted(e.payload.items()))))
 
     events.subscribe(record)
     cassandra = CassandraLike()

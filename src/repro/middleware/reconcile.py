@@ -18,17 +18,17 @@ the session enters degraded mode and trips the push breaker, so the
 tenant stops layering new pushes on an unverified ring.
 
 Like the guard, all state is window-indexed, seeded by nothing, and
-picklable with ``events=None``, so the sharded serve path reproduces
-identical drift/repair/quarantine event sequences.
+picklable once the tenant's event channel is held, so the sharded serve
+path reproduces identical drift/repair/quarantine event sequences.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import GuardError
+from repro.middleware.breaker import _Bulkhead
 
 #: Keys a manifest ``[tenants.reconcile]`` stanza may set.
 RECONCILE_STANZA_KEYS = frozenset({"enabled", "max_repairs", "span", "escalate"})
@@ -92,24 +92,12 @@ class DriftReconciler:
         self.tenant_id = tenant_id
         self.spec = spec or ReconcileSpec()
         self.events = events
-        self._repairs: deque = deque()
+        self._repairs = _Bulkhead("repair", self.spec.max_repairs, self.spec.span)
         self.drift_windows = 0
         self.repairs_attempted = 0
         self.repairs_succeeded = 0
         self.quarantined_windows = 0
         self.escalations = 0
-
-    # -- repair budget (rolling span, like the guard bulkheads) ----------------
-
-    def repairs_used(self, window: int) -> int:
-        while self._repairs and self._repairs[0] <= window - self.spec.span:
-            self._repairs.popleft()
-        return len(self._repairs)
-
-    def allow_repair(self, window: int) -> bool:
-        if self.spec.max_repairs is None:
-            return True
-        return self.repairs_used(window) < self.spec.max_repairs
 
     # -- the reconcile pass ----------------------------------------------------
 
@@ -147,21 +135,21 @@ class DriftReconciler:
             applied_fingerprints=applied,
             down_nodes=report.down_drifted_nodes,
         )
-        if not self.allow_repair(window):
+        if not self._repairs.allow(window):
             self._publish(
                 "actuate.repair_blocked",
-                f"repair budget spent ({self.repairs_used(window)}/"
+                f"repair budget spent ({self._repairs.used(window)}/"
                 f"{self.spec.max_repairs} in {self.spec.span} windows); "
                 f"drift persists (window {window})",
                 window=window,
                 nodes=report.drifted_nodes,
-                used=self.repairs_used(window),
+                used=self._repairs.used(window),
                 limit=self.spec.max_repairs,
                 span=self.spec.span,
             )
             outcome.escalated = self.spec.escalate
         else:
-            self._repairs.append(window)
+            self._repairs.record(window)
             self.repairs_attempted += 1
             outcome.repair_report = adapter.repair_config(
                 report.drifted_nodes, read_ratio, rolling=rolling
@@ -176,7 +164,7 @@ class DriftReconciler:
                     f"(window {window})",
                     window=window,
                     nodes=report.drifted_nodes,
-                    repairs_used=self.repairs_used(window),
+                    repairs_used=self._repairs.used(window),
                 )
             else:
                 self._publish(

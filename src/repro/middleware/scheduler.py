@@ -21,18 +21,24 @@ Every tenant's events are namespaced (``tenant.<id>.controller.*``,
 
 **Sharded serve.**  Within one window round, tenant sessions are
 independent except for the shared rafiki (surrogate + recommendation
-cache) and the shared bus.  ``backend=`` / ``workers=`` fan each round
-out across :class:`~repro.runtime.backend.ProcessPoolBackend` workers:
-every worker steps one session against a *copy* of the round-start
-rafiki state and journals its externally visible effects (published
-events and ``recommend()`` calls); the parent then, in registration
-order, merges the journals back — replaying events on the shared bus
-and folding fresh search results into the shared cache (burning the
-same named seed stream a serial search would have consumed).  Because
-the GA search is deterministic given the round-start seed stream,
-two tenants racing the same regime in one round compute the *same*
-result the serial run's cache hit would have returned, so sharded runs
-are bit-identical to serial (see ``tests/test_sharded_scheduler.py``).
+cache) and the shared bus.  ``backend=`` (an
+:class:`~repro.runtime.backend.ExecutionBackend`) or ``workers=N`` fan
+each round out: every served tenant's session travels to a worker and
+steps its window against a *copy* of the round-start rafiki state.
+Every component of a tenant publishes through one scoped event channel
+(:class:`~repro.runtime.events.ScopedEventBus`); the scheduler *holds*
+that channel before the fan-out, so the window's events are kept on it
+— in a worker, or in-process when the backend runs the round inline —
+and travel home with the session.  The parent then merges in
+registration order: it folds the worker's ``recommend()`` journal into
+the shared cache (burning the same named seed stream a serial search
+would have consumed) and re-attaches the channel, which publishes the
+held events on the shared bus at the tenant's serial slot.  Because the
+GA search is deterministic given the round-start seed stream, two
+tenants racing the same regime in one round compute the *same* result
+the serial run's cache hit would have returned, so sharded runs are
+bit-identical to serial, event log included (see
+``tests/test_sharded_scheduler.py``).
 
 **State shipping.**  The round-start rafiki copy does *not* travel as
 a fresh pickle in every task: the scheduler fingerprints the
@@ -45,11 +51,10 @@ regime entering the cache).  Steady-state rounds ship the 16-byte
 fingerprint; each persistent-pool worker unpickles from its local blob
 cache.  A worker that missed the broadcast (fresh pool, post-crash
 rebuild) answers with a ``StateMiss`` before touching its session and
-the parent re-runs that one task blob-attached.  The protocol is
-observable as ``backend.state_shipped_bytes`` / ``backend.state_hit``
-/ ``backend.state_miss`` events — the only topics exempt from the
-serial == sharded event-sequence contract, because blob placement
-depends on OS scheduling.
+the parent re-runs that one task blob-attached.  Blob placement depends
+on OS scheduling, so the protocol publishes nothing: it is observable
+only through :meth:`MiddlewareScheduler.state_report` counters, and no
+event topic is exempt from the serial == sharded contract.
 The rafiki's own event bus must be unset (worker copies cannot replay
 mid-search progress events).  The second historical caveat — the
 recommendation cache evicting *within* one window round — is now
@@ -79,7 +84,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,12 +103,7 @@ from repro.middleware.ledger import CapacityLedger
 from repro.middleware.reconcile import DriftReconciler, ReconcileSpec
 from repro.middleware.session import TenantSession
 from repro.middleware.slo import SloSpec
-from repro.runtime.backend import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.runtime.backend import ExecutionBackend, resolve_backend
 from repro.runtime.events import EventBus
 from repro.runtime.stateship import (
     StateMiss,
@@ -121,18 +121,6 @@ from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 def _default_policy() -> DecisionPolicy:
     return HysteresisPolicy(OraclePolicy(), min_change=0.08)
-
-
-class _RecordingBus(EventBus):
-    """Worker-side bus: journals every publish for parent-side replay."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: List[Tuple[str, str, dict]] = []
-
-    def publish(self, topic: str, message: str = "", **payload):
-        self.records.append((topic, message, payload))
-        return super().publish(topic, message, **payload)
 
 
 class _RecordingRafiki:
@@ -159,38 +147,21 @@ class _RecordingRafiki:
         return self._inner.predicted_mean_std(read_ratio, config)
 
 
-def _attach_session_bus(session: TenantSession, bus) -> None:
-    """Point every bus reference a session's step() publishes on at ``bus``."""
-    session.events = bus
-    session.adapter.events = bus
-    cluster = getattr(session.adapter, "cluster", None)
-    if cluster is not None:
-        cluster.events = bus
-    if session._injector is not None:
-        session._injector.events = bus
-    if session.guard is not None:
-        session.guard.events = bus
-    if session.reconciler is not None:
-        session.reconciler.events = bus
-
-
 def _shard_window_worker(task):
-    """Run one tenant's window in a worker process.
+    """Run one tenant's window, usually in a worker process.
 
-    The session arrives with its bus references stripped (they hold
-    parent-side subscriber callables that must not travel); a recording
-    bus takes their place so the step's event stream can be replayed in
-    the parent.  The shared rafiki state arrives as a
+    The session arrives with its event channel held, so everything the
+    step publishes is kept on the channel and travels home with the
+    session.  The shared rafiki state arrives as a
     :class:`~repro.runtime.stateship.StateShipment`: blob-attached on a
     fingerprint change, fingerprint-only in steady state, resolved
     against this worker process's blob cache.  A fingerprint-only
     shipment that misses the cache returns a
     :class:`~repro.runtime.stateship.StateMiss` marker *before touching
     the session*, so the parent can re-run the task with the blob
-    attached.  Returns ``(session, event_records, search_records,
-    state_from_cache)`` with the buses stripped again for the trip home.
+    attached.  Returns ``(session, search_records, state_from_cache)``.
     """
-    tenant_id, read_ratio, capacity_factor, session, shipment = task
+    read_ratio, capacity_factor, session, shipment = task
     searches: List[tuple] = []
     from_cache = False
     if shipment is not None:
@@ -199,14 +170,9 @@ def _shard_window_worker(task):
         except StateMissError:
             return StateMiss(shipment.fingerprint)
         session.rafiki = _RecordingRafiki(pickle.loads(blob), searches)
-    recorder = _RecordingBus()
-    _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
-    try:
-        session.step(read_ratio, capacity_factor=capacity_factor)
-    finally:
-        _attach_session_bus(session, None)
-        session.rafiki = None
-    return session, recorder.records, searches, from_cache
+    session.step(read_ratio, capacity_factor=capacity_factor)
+    session.rafiki = None
+    return session, searches, from_cache
 
 
 @dataclass
@@ -230,7 +196,6 @@ class TenantSpec:
     restart_policy: str = "instant"
     restart_seconds_per_node: float = RESTART_SECONDS_PER_NODE
     load: bool = True
-    trace_phases: bool = False
     execution: str = "analytic"    # "analytic" | "engine" (materialized LSM)
     # Overload protection (all optional; None keeps the tenant unguarded):
     # lower priority = more important = shed last under admission control.
@@ -303,22 +268,11 @@ class MiddlewareScheduler:
                 f"workers must be >= 1, got {workers} "
                 "(1 = serial, N > 1 = process-pool sharded rounds)"
             )
-        if isinstance(backend, str):
-            if backend == "serial":
-                backend = SerialBackend()
-            elif backend == "process":
-                if workers is None:
-                    raise SearchError(
-                        'backend="process" needs workers=N to size the '
-                        "pool (pass workers=2 or more, or pass a "
-                        "ProcessPoolBackend instance directly)"
-                    )
-                backend = ProcessPoolBackend(workers)
-            else:
-                raise SearchError(
-                    f"unknown backend {backend!r} (serial | process, or an "
-                    "ExecutionBackend instance)"
-                )
+        if backend is not None and not isinstance(backend, ExecutionBackend):
+            raise SearchError(
+                f"unknown backend {backend!r}: pass an ExecutionBackend "
+                "instance, or workers=N to shard over a process pool"
+            )
         # backend=None and workers in (None, 1) keep the legacy in-process
         # serial loop; an explicit backend (even SerialBackend, useful for
         # exercising the shard protocol without processes) or workers > 1
@@ -334,9 +288,7 @@ class MiddlewareScheduler:
             self._owns_backend = False
         # One shipper per scheduler: the shared rafiki is the one big
         # blob whose steady-state rounds should ship O(1) bytes.
-        self._shipper = (
-            StateShipper(events=self.events) if self.backend is not None else None
-        )
+        self._shipper = StateShipper() if self.backend is not None else None
         # cluster_capacity activates admission control + the overload
         # model; None (the default) keeps runs bit-identical to the
         # unguarded scheduler.
@@ -404,7 +356,6 @@ class MiddlewareScheduler:
             events=scoped,
             fault_plan=spec.fault_plan,
             restart_policy=spec.restart_policy,
-            trace_phases=spec.trace_phases,
         )
         self._tenants[spec.tenant_id] = (spec, session)
         return session
@@ -599,13 +550,13 @@ class MiddlewareScheduler:
     ) -> None:
         """Fan one window round out over the backend's workers.
 
-        Workers receive bus-stripped sessions plus one shared pickle of
-        the round-start rafiki state; results are merged back in
-        registration order (the lockstep barrier), so the shared cache,
-        seed streams, and event log evolve exactly as a serial round's.
-        Shed tenants never travel: their zero-throughput windows are
-        recorded parent-side at their registration slot, exactly where
-        the serial loop would have recorded them.
+        Workers receive sessions with their event channels held, plus
+        one shared pickle of the round-start rafiki state; results are
+        merged back in registration order (the lockstep barrier), so the
+        shared cache, seed streams, and event log evolve exactly as a
+        serial round's.  Shed tenants never travel: their zero-throughput
+        windows are recorded parent-side at their registration slot,
+        exactly where the serial loop would have recorded them.
         """
         served = [t for t in active if t not in shed]
         shipment = self._prepare_state_shipment() if any(
@@ -620,43 +571,39 @@ class MiddlewareScheduler:
         tasks = []
         for tenant_id in served:
             spec, session = self._tenants[tenant_id]
-            _attach_session_bus(session, None)
+            session.events.hold()
             session.rafiki = None
             task_shipment = shipment if spec.use_rafiki else None
             if task_shipment is not None:
                 self._shipper.count_task(task_shipment)
             tasks.append(
-                (
-                    tenant_id,
-                    float(spec.rr_series[w]),
-                    float(factor),
-                    session,
-                    task_shipment,
-                )
+                (float(spec.rr_series[w]), float(factor), session, task_shipment)
             )
         try:
             outcomes = self.backend.map_tasks(_shard_window_worker, tasks)
             outcomes = self._refetch_state_misses(tasks, outcomes)
-        finally:
-            # On a worker-raised error the parent-side sessions are left
-            # bus-stripped; restore them so the scheduler stays usable.
+        except BaseException:
+            # The round never merged: hand the parent-side sessions back
+            # their channel and the shared rafiki so the scheduler stays
+            # usable.
             for tenant_id in served:
                 spec, session = self._tenants[tenant_id]
-                self._reattach(spec, session)
+                session.rafiki = self.rafiki if spec.use_rafiki else None
+                session.events.attach(self.events)
+            raise
         results = iter(outcomes)
         for tenant_id in active:
             spec, session = self._tenants[tenant_id]
             if tenant_id in shed:
                 session.record_shed_window(spec.rr_series[w])
                 continue
-            session, event_records, search_records, from_cache = next(results)
+            session, search_records, from_cache = next(results)
             if from_cache:
-                self._shipper.record_hit(tenant=tenant_id, window=w)
-            self._reattach(spec, session)
+                self._shipper.record_hit()
             self._tenants[tenant_id] = (spec, session)
             self._merge_searches(search_records)
-            for topic, message, payload in event_records:
-                self.events.publish(topic, message, **payload)
+            session.rafiki = self.rafiki if spec.use_rafiki else None
+            session.events.attach(self.events)
         if (
             evictions_before is not None
             and cache.stats.evictions > evictions_before
@@ -667,12 +614,6 @@ class MiddlewareScheduler:
                 "run once round-start cache state is stale. Raise the "
                 "rafiki's cache_capacity or serve serially (workers=1)."
             )
-
-    def _reattach(self, spec: TenantSpec, session: TenantSession) -> None:
-        _attach_session_bus(
-            session, self.events.scoped(f"tenant.{spec.tenant_id}")
-        )
-        session.rafiki = self.rafiki if spec.use_rafiki else None
 
     def _state_fingerprint(self) -> str:
         """Stable content hash of the shared rafiki's *decision-relevant*
@@ -737,11 +678,11 @@ class MiddlewareScheduler:
             return outcomes
         retry_tasks = []
         for index in missed:
-            tenant_id, read_ratio, factor, session, shipment = tasks[index]
-            self._shipper.record_miss(tenant=tenant_id)
+            read_ratio, factor, session, shipment = tasks[index]
+            self._shipper.record_miss()
             refetch = self._shipper.refetch(shipment.fingerprint)
             self._shipper.count_task(refetch)
-            retry_tasks.append((tenant_id, read_ratio, factor, session, refetch))
+            retry_tasks.append((read_ratio, factor, session, refetch))
         retried = self.backend.map_tasks(_shard_window_worker, retry_tasks)
         outcomes = list(outcomes)
         for index, outcome in zip(missed, retried):

@@ -118,7 +118,6 @@ class TenantSession:
         events: Optional[EventBus] = None,
         fault_plan: Optional[FaultPlan] = None,
         restart_policy: str = "instant",
-        trace_phases: bool = False,
         guard=None,
         reconciler=None,
     ):
@@ -151,7 +150,6 @@ class TenantSession:
         self.events = events or EventBus()
         self.fault_plan = fault_plan
         self.restart_policy = restart_policy
-        self.trace_phases = trace_phases
         # Optional overload protection (see repro.middleware.guard): SLO
         # tracking, search/push circuit breakers, bulkhead budgets.
         # guard=None keeps every phase bit-identical to the unguarded loop.
@@ -192,14 +190,14 @@ class TenantSession:
         self._ratio_baseline = None
         self._pending_canary = None
         self._redecide = False
-        self._set_phase("idle")
+        self.phase = "idle"
         return self
 
     def finish(self, teardown: bool = True) -> ControllerRun:
         """Close the session and return its :class:`ControllerRun`."""
         if teardown:
             self.adapter.teardown()
-        self._set_phase("done")
+        self.phase = "done"
         return self.result
 
     @property
@@ -241,7 +239,7 @@ class TenantSession:
             read_ratio=float(np.clip(read_ratio, 0.0, 1.0)),
             capacity_factor=float(capacity_factor),
         )
-        self._set_phase("observe")
+        self.phase = "observe"
         return self._window
 
     def record_shed_window(self, read_ratio: float) -> ControllerEvent:
@@ -285,10 +283,10 @@ class TenantSession:
         handler(self._window)
         if self.phase == "record":
             self._window = None
-            self._set_phase("idle")
+            self.phase = "idle"
         else:
             i = SESSION_PHASES.index(self.phase)
-            self._set_phase(SESSION_PHASES[i + 1])
+            self.phase = SESSION_PHASES[i + 1]
         return self.phase
 
     # -- phases ----------------------------------------------------------------
@@ -466,14 +464,6 @@ class TenantSession:
 
     def _publish(self, topic: str, message: str, **payload) -> None:
         self.events.publish(topic, message, **payload)
-
-    def _set_phase(self, phase: str) -> None:
-        self.phase = phase
-        if self.trace_phases:
-            window = self._window.index if self._window is not None else None
-            self._publish(
-                "session.phase", f"-> {phase}", phase=phase, window=window
-            )
 
     def _attempt(
         self, kind: str, window: int, fn: Callable[[], object]

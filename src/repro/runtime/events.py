@@ -99,6 +99,15 @@ class ScopedEventBus:
     handed a tenant-scoped view.  All events land on the shared parent
     bus (there is exactly one delivery loop per run), just under dotted
     ``<prefix>.<topic>`` names.
+
+    A view can be **held**: :meth:`hold` detaches it from the parent, so
+    publishes are kept on the view, in order, instead of delivered.  A
+    held view references no bus (and none of its subscriber callables),
+    so everything publishing through it can be pickled and stepped in
+    another process; :meth:`attach` re-joins the parent and publishes
+    the held records there.  The sharded serve loop holds each tenant's
+    channel while its window is away and attaches it in registration
+    order, which is what keeps the event log identical to a serial run.
     """
 
     def __init__(self, parent: EventBus, prefix: str):
@@ -111,8 +120,9 @@ class ScopedEventBus:
         if isinstance(parent, ScopedEventBus):
             prefix = f"{parent.prefix}.{prefix}"
             parent = parent.parent
-        self.parent = parent
+        self.parent: Optional[EventBus] = parent
         self.prefix = prefix
+        self._held: Optional[List[Event]] = None
 
     @property
     def published_count(self) -> int:
@@ -120,7 +130,25 @@ class ScopedEventBus:
 
     def publish(self, topic: str, message: str = "", **payload: Any) -> Event:
         full = f"{self.prefix}.{topic}" if topic else self.prefix
+        if self._held is not None:
+            event = Event(topic=full, message=message, payload=payload)
+            self._held.append(event)
+            return event
         return self.parent.publish(full, message, **payload)
+
+    def hold(self) -> None:
+        """Detach from the parent bus; publishes are kept until :meth:`attach`."""
+        if self._held is None:
+            self._held = []
+        self.parent = None
+
+    def attach(self, bus: EventBus) -> None:
+        """Re-join the root bus this view was scoped from, publishing the
+        held records on it in order."""
+        held, self._held = self._held or [], None
+        self.parent = bus
+        for event in held:
+            bus.publish(event.topic, event.message, **event.payload)
 
     def subscribe(
         self, handler: Callable[[Event], None], topic: Optional[str] = None

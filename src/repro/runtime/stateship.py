@@ -21,22 +21,15 @@ This module provides the two halves of that protocol:
   returns a :class:`StateMiss` marker instead of a result, and the
   parent re-runs exactly that task with the blob attached.
 
-The protocol is observable on the event bus:
-
-* ``backend.state_shipped_bytes`` — a full blob travelled (payload:
-  ``bytes``, ``fingerprint``, ``reason`` of ``"change"`` or
-  ``"refetch"``).
-* ``backend.state_hit`` — a worker served a task from its blob cache.
-* ``backend.state_miss`` — a worker lacked the blob; a one-shot refetch
-  followed.
+The protocol is observable through :meth:`StateShipper.report`
+counters (blobs shipped, fingerprint-only tasks, payload bytes, worker
+cache hits and misses).  It publishes no events: which worker holds
+which blob depends on OS scheduling, and the event log must be
+identical between serial and sharded runs.
 
 Determinism: the shipped blob bytes (and therefore every worker-side
 unpickle) are identical whether they travelled this round or were
-cached rounds ago, so results are bit-identical to full shipping.  The
-``backend.state_*`` events themselves are *exempt* from the serial ==
-sharded event-sequence contract — which worker holds which blob depends
-on OS scheduling — and equivalence checks filter them out (see
-``tests/test_sharded_scheduler.py``).
+cached rounds ago, so results are bit-identical to full shipping.
 """
 
 from __future__ import annotations
@@ -45,8 +38,6 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from repro.runtime.events import EventBus
 
 __all__ = [
     "StateShipment",
@@ -140,8 +131,7 @@ class StateShipper:
     ``payload_bytes_per_round`` column.
     """
 
-    def __init__(self, events: Optional[EventBus] = None):
-        self.events = events
+    def __init__(self):
         self.last_fingerprint: Optional[str] = None
         self._blob: Optional[bytes] = None
         self.blob_ships = 0
@@ -150,10 +140,6 @@ class StateShipper:
         self.payload_bytes = 0
         self.hits = 0
         self.misses = 0
-
-    def _publish(self, topic: str, message: str, **payload) -> None:
-        if self.events is not None:
-            self.events.publish(topic, message, **payload)
 
     def prepare(
         self, fingerprint: str, blob_factory: Callable[[], bytes]
@@ -168,14 +154,6 @@ class StateShipper:
         self._blob = blob
         self.blob_ships += 1
         self.blob_bytes += len(blob)
-        self._publish(
-            "backend.state_shipped_bytes",
-            f"state blob shipped ({len(blob):,} bytes, "
-            f"fingerprint {fingerprint})",
-            bytes=len(blob),
-            fingerprint=fingerprint,
-            reason="change",
-        )
         return StateShipment(fingerprint, blob)
 
     def refetch(self, fingerprint: str) -> StateShipment:
@@ -187,14 +165,6 @@ class StateShipper:
             )
         self.blob_ships += 1
         self.blob_bytes += len(self._blob)
-        self._publish(
-            "backend.state_shipped_bytes",
-            f"state blob re-shipped after worker miss "
-            f"({len(self._blob):,} bytes)",
-            bytes=len(self._blob),
-            fingerprint=fingerprint,
-            reason="refetch",
-        )
         return StateShipment(fingerprint, self._blob)
 
     def count_task(self, shipment: StateShipment) -> None:
@@ -203,21 +173,13 @@ class StateShipper:
         if shipment.blob is None:
             self.fingerprint_tasks += 1
 
-    def record_hit(self, **payload) -> None:
+    def record_hit(self) -> None:
         """A worker served its task from the cached blob."""
         self.hits += 1
-        self._publish(
-            "backend.state_hit", "worker served state from blob cache", **payload
-        )
 
-    def record_miss(self, **payload) -> None:
+    def record_miss(self) -> None:
         """A worker lacked the blob; the task is being refetched."""
         self.misses += 1
-        self._publish(
-            "backend.state_miss",
-            "worker missed state blob; refetching",
-            **payload,
-        )
 
     def report(self) -> dict:
         """Counters snapshot for benchmarks and CLI summaries."""

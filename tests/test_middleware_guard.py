@@ -390,13 +390,7 @@ def run_fleet(
         ]
         for tid, r in results.items()
     }
-    log_view = [
-        (e.topic, e.message, repr(sorted(e.payload.items())))
-        for e in log
-        # State-shipping telemetry depends on which worker got which task,
-        # so it is exempt from serial==sharded equivalence (see DESIGN.md).
-        if not e.topic.startswith("backend.state")
-    ]
+    log_view = [(e.topic, e.message, repr(sorted(e.payload.items()))) for e in log]
     return summary, log_view, scheduler
 
 
@@ -524,6 +518,32 @@ class TestAdmissionControl:
         )[:2]
         assert sharded == serial
 
+    def test_in_process_round_merges_after_shed_tenant(self, cassandra):
+        """A round serving one tenant runs its single task in-process;
+        its held events must still land after the shed tenant that
+        registered before it, exactly where the serial loop puts them."""
+        # A floor no window can reach: every window publishes SLO events.
+        slo = SloSpec(throughput_floor=1e12, window_span=4, error_budget=0.25)
+
+        def fleet():
+            return [
+                guarded_spec("first", [0.3] * 6, seed=1, priority=5, slo=slo),
+                guarded_spec("second", [0.6] * 6, seed=2, slo=slo),
+            ]
+
+        probe, _, _ = run_fleet(cassandra, fleet())
+        capacity = probe["second"][0][1] * 1.05   # room for one tenant
+        serial = run_fleet(cassandra, fleet(), capacity=capacity)[:2]
+        with ProcessPoolBackend(workers=2) as backend:
+            sharded = run_fleet(
+                cassandra, fleet(), capacity=capacity, backend=backend
+            )[:2]
+        assert sharded == serial
+        summary, log = serial
+        assert any(shed for _, _, shed, _ in summary["first"])
+        assert not any(shed for _, _, shed, _ in summary["second"])
+        assert any(t.startswith("tenant.second.guard.slo") for t, _, _ in log)
+
     def test_shedding_off_degrades_everyone(self, cassandra):
         capacity = self.capacity_for(cassandra)
         unguarded, _, _ = run_fleet(cassandra, overload_fleet())
@@ -563,27 +583,13 @@ class TestSchedulerValidation:
         with pytest.raises(SearchError, match="workers"):
             MiddlewareScheduler(cassandra, FakeRafiki(cassandra), workers=0)
 
-    def test_process_backend_string_needs_workers(self, cassandra):
-        with pytest.raises(SearchError, match="workers"):
-            MiddlewareScheduler(
-                cassandra, FakeRafiki(cassandra), backend="process"
-            )
-
     def test_unknown_backend_string_rejected(self, cassandra):
-        with pytest.raises(SearchError, match="unknown backend"):
-            MiddlewareScheduler(
-                cassandra, FakeRafiki(cassandra), backend="threads"
-            )
-
-    def test_backend_strings_resolve(self, cassandra):
-        serial = MiddlewareScheduler(
-            cassandra, FakeRafiki(cassandra), backend="serial"
-        )
-        assert serial.backend is not None
-        pooled = MiddlewareScheduler(
-            cassandra, FakeRafiki(cassandra), backend="process", workers=2
-        )
-        assert isinstance(pooled.backend, ProcessPoolBackend)
+        # Pools are sized with workers=N; a backend is an instance.
+        for name in ("threads", "serial", "process"):
+            with pytest.raises(SearchError, match="unknown backend"):
+                MiddlewareScheduler(
+                    cassandra, FakeRafiki(cassandra), backend=name, workers=2
+                )
 
     def test_bad_capacity_rejected(self, cassandra):
         with pytest.raises(GuardError, match="capacity"):

@@ -10,7 +10,8 @@ import repro.runtime
 from repro.bench.collection import DataCollectionCampaign
 from repro.core.anova import rank_parameters
 from repro.core.rafiki import RafikiPipeline
-from repro.middleware import TenantSession, TenantSpec
+from repro.middleware import DriftReconciler, TenantSession, TenantSpec
+from repro.runtime.stateship import StateShipper
 from repro.errors import (
     ConfigurationError,
     DatastoreError,
@@ -90,12 +91,29 @@ class TestRemovedNames:
         assert importlib.util.find_spec("repro.runtime.deprecation") is None
 
     def test_removed_parameters(self):
-        removed = {
-            RafikiPipeline.__init__: "progress",
-            DataCollectionCampaign.__init__: "progress",
-            rank_parameters: "progress",
-            TenantSession.__init__: "passive_forecaster",
-        }
-        for fn, name in removed.items():
-            assert name not in inspect.signature(fn).parameters, fn
-        assert "decision_mode" not in inspect.signature(TenantSpec).parameters
+        removed = [
+            (RafikiPipeline.__init__, "progress"),
+            (DataCollectionCampaign.__init__, "progress"),
+            (rank_parameters, "progress"),
+            (TenantSession.__init__, "passive_forecaster"),
+            (TenantSession.__init__, "trace_phases"),
+            (TenantSpec, "decision_mode"),
+            (TenantSpec, "trace_phases"),
+            (StateShipper.__init__, "events"),
+        ]
+        for fn, name in removed:
+            assert name not in inspect.signature(fn).parameters, (fn, name)
+
+    def test_removed_internals(self):
+        """Sharded serve holds each tenant's event channel instead of
+        rewiring buses; the reconciler budgets repairs with the guard's
+        bulkhead; scipy's triangular solve has no numpy fallback."""
+        removed = [
+            ("repro.middleware.scheduler", "_RecordingBus"),
+            ("repro.middleware.scheduler", "_attach_session_bus"),
+            ("repro.ml.train", "_solve_triangular"),
+        ]
+        for module, name in removed:
+            assert not hasattr(importlib.import_module(module), name), name
+        for name in ("repairs_used", "allow_repair"):
+            assert not hasattr(DriftReconciler, name), name

@@ -1,5 +1,7 @@
 """EventBus: topic matching, unsubscribe, scoping, legacy callback adapter."""
 
+import pickle
+
 import pytest
 
 from repro.runtime import EventBus, ScopedEventBus
@@ -114,6 +116,38 @@ class TestScopedEventBus:
         unsubscribe()
         bus.publish("t.y")
         assert len(seen) == 1
+
+    def test_held_view_publishes_on_attach_in_order(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        scoped = bus.scoped("tenant.a")
+        scoped.hold()
+        event = scoped.publish("x", "first", n=1)
+        scoped.publish("y")
+        bus.publish("scheduler.window")
+        assert event.topic == "tenant.a.x"
+        assert [e.topic for e in seen] == ["scheduler.window"]
+        scoped.attach(bus)
+        assert [(e.topic, e.message, e.payload) for e in seen] == [
+            ("scheduler.window", "", {}),
+            ("tenant.a.x", "first", {"n": 1}),
+            ("tenant.a.y", "", {}),
+        ]
+        scoped.publish("z")   # attached again: delivered live
+        assert seen[-1].topic == "tenant.a.z"
+
+    def test_held_view_travels_without_the_bus(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda e: seen.append(e.topic))   # not picklable
+        scoped = bus.scoped("tenant.a")
+        scoped.hold()
+        copy = pickle.loads(pickle.dumps(scoped))
+        copy.publish("x")
+        assert seen == []
+        copy.attach(bus)
+        assert seen == ["tenant.a.x"]
 
     @pytest.mark.parametrize("bad", ["", ".", "a..b", ".a", "a."])
     def test_invalid_prefix_rejected(self, bad):

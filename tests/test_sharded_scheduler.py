@@ -1,8 +1,8 @@
 """Sharded-vs-serial equivalence of the multi-tenant serve loop.
 
 The scheduler's ``backend=`` fan-out must be *bit-identical* to the
-legacy inline loop: same per-tenant results, same event log in
-registration order, and — for a real :class:`~repro.core.rafiki.Rafiki`
+legacy inline loop: same per-tenant results, the same full event log in
+registration order (no topic is exempt), and — for a real :class:`~repro.core.rafiki.Rafiki`
 — the same shared-cache statistics, LRU order, and named-seed-stream
 counters, extending the PR 1 serial/parallel equivalence guarantee to
 the serve path.
@@ -118,14 +118,7 @@ def run_campaign(cassandra, specs, backend=None, rafiki=None):
         ]
         for tid, r in results.items()
     }
-    # backend.state_* topics are exempt from the serial == sharded
-    # contract (blob placement depends on OS worker scheduling); every
-    # other event must match bitwise.
-    log_view = [
-        (e.topic, e.message, repr(sorted(e.payload.items())))
-        for e in log
-        if not e.topic.startswith("backend.state")
-    ]
+    log_view = [(e.topic, e.message, repr(sorted(e.payload.items()))) for e in log]
     return summary, log_view, rafiki
 
 
@@ -135,8 +128,12 @@ SPECS = lambda: [spec(f"t{i}", [0.2, 0.9, 0.4], seed=i) for i in range(4)]  # no
 class TestShardedEqualsSerial:
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ProcessPoolBackend(workers=2)],
-        ids=["serial-backend", "process-pool"],
+        [
+            SerialBackend,
+            lambda: ProcessPoolBackend(workers=2),
+            lambda: ProcessPoolBackend(workers=2, persistent=False),
+        ],
+        ids=["serial-backend", "process-pool", "process-pool-cold"],
     )
     def test_results_and_events_bit_identical(self, cassandra, backend_factory):
         ref_summary, ref_log, ref_rafiki = run_campaign(cassandra, SPECS())
@@ -164,11 +161,9 @@ class TestShardedEqualsSerial:
         assert {
             tid: [e.mean_throughput for e in r.events] for tid, r in results.items()
         } == {tid: [e[3] for e in evs] for tid, evs in ref_summary.items()}
-        assert [
-            (e.topic, e.message)
-            for e in log
-            if not e.topic.startswith("backend.state")
-        ] == [(topic, message) for topic, message, _ in ref_log]
+        assert [(e.topic, e.message) for e in log] == [
+            (topic, message) for topic, message, _ in ref_log
+        ]
 
     def test_workers_one_keeps_legacy_serial_loop(self, cassandra):
         scheduler = MiddlewareScheduler(

@@ -82,10 +82,7 @@ def run_campaign(rr_series, fault_plan, reconcile, workers=None,
     events = EventBus()
     trace = []
     def record(e):
-        # State-shipping telemetry depends on which worker got which task,
-        # so it is exempt from serial==sharded equivalence (see DESIGN.md).
-        if not e.topic.startswith("backend.state"):
-            trace.append((e.topic, tuple(sorted(e.payload.items()))))
+        trace.append((e.topic, tuple(sorted(e.payload.items()))))
 
     events.subscribe(record)
     cassandra = CassandraLike()
@@ -504,10 +501,12 @@ class TestReconcileSpec:
         reconciler = DriftReconciler(
             "t", spec=ReconcileSpec(max_repairs=2, span=4)
         )
-        assert reconciler.allow_repair(0)
-        reconciler._repairs.extend([0, 1])
-        assert not reconciler.allow_repair(2)   # both inside the span
-        assert reconciler.allow_repair(5)       # window 0 aged out
+        budget = reconciler._repairs
+        assert budget.allow(0)
+        budget.record(0)
+        budget.record(1)
+        assert not budget.allow(2)   # both inside the span
+        assert budget.allow(5)       # window 0 aged out
 
     def test_disabled_reconciler_never_reads_back(self, cassandra):
         class ExplodingAdapter:
